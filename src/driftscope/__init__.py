@@ -19,13 +19,11 @@ from .changepoint import (  # noqa: F401
     ChangePoint,
     ChangePointSet,
     PeltConfig,
-    brute_force_optimal,
     normalize,
     pelt,
-    segment_cost,
 )
 from .ingest import CsvMapping, parse_csv, parse_xes, write_csv, write_xes  # noqa: F401
-from .model import Case, Event, EventLog, project_attr, sort_and_validate  # noqa: F401
+from .model import Case, Event, EventLog, sort_and_validate  # noqa: F401
 from .pipeline import AnalysisReport, DriftExplanation, FrameworkConfig, run  # noqa: F401
 from .synthetic import GeneratorConfig, generate  # noqa: F401
 from .timeseries import (  # noqa: F401
@@ -38,6 +36,5 @@ from .timeseries import (  # noqa: F401
     build_time_series,
     make_extractor,
     parse_spec,
-    select_events,
     write_series_csv,
 )

@@ -3,12 +3,13 @@
 A segmentation of the interval axis is scored as the sum, over segments, of
 the within-segment squared deviation from the segment mean (summed across
 all feature rows) plus a penalty ``beta`` per segment. :func:`pelt` finds
-the exact minimiser with pruned dynamic programming; ``brute_force_optimal``
-is the unpruned quadratic program kept as an independent oracle.
-
-Both report a change point as the 1-based index of the first interval of
-each new segment, break cost ties toward fewer change points and then
-toward earlier indices, and respect a minimum segment length.
+the exact minimiser with pruned dynamic programming, pricing all live
+candidates of a step in one numpy pass over prefix sums and keeping states
+in flat arrays with back-pointers. Without pruning (a series with no change
+point) the work is still O(n * live * m) for ``n`` intervals, ``live``
+candidates and ``m`` feature rows. Change points are 1-based indices of the
+first interval of each new segment; cost ties go to fewer change points,
+then to lexicographically earlier indices; segments have a minimum length.
 
 Matrices are usually normalised first so that the penalty is comparable
 across features with different scales: ``max_abs`` divides each row by its
@@ -104,36 +105,61 @@ def normalize(matrix: TimeSeriesMatrix, mode: str = "max_abs") -> TimeSeriesMatr
 
 
 class SegmentCost:
-    """O(1) squared-deviation cost of any column range via prefix sums."""
+    """Squared-deviation cost of column ranges via interval-major prefix sums.
+
+    Row ``j`` of the ``(n + 1) x m`` prefix arrays sums columns ``[0, j)``.
+    :meth:`price` works ``CHUNK`` starts at a time in workspaces made here.
+    """
+
+    CHUNK = 128
 
     def __init__(self, values: np.ndarray):
         values = np.asarray(values, dtype=float)
         m, n = values.shape
-        self.n = n
-        self._sum = np.zeros((m, n + 1))
-        self._sumsq = np.zeros((m, n + 1))
-        np.cumsum(values, axis=1, out=self._sum[:, 1:])
-        np.cumsum(values * values, axis=1, out=self._sumsq[:, 1:])
+        self._sum = np.zeros((n + 1, m))
+        self._sumsq = np.zeros((n + 1, m))
+        np.cumsum(values.T, axis=0, out=self._sum[1:])
+        np.cumsum((values * values).T, axis=0, out=self._sumsq[1:])
+        self._s = np.empty((self.CHUNK, m))
+        self._q = np.empty((self.CHUNK, m))
+        self._length = np.empty(self.CHUNK)
+
+    def price(self, starts: np.ndarray, end: int, out: np.ndarray) -> np.ndarray:
+        """Write the cost of columns ``[s, end)`` for each ``s`` in ``starts`` into ``out``."""
+        for lo in range(0, len(starts), self.CHUNK):
+            part = starts[lo:lo + self.CHUNK]
+            rows = len(part)
+            s, q, length = self._s[:rows], self._q[:rows], self._length[:rows]
+            np.take(self._sum, part, axis=0, out=s, mode="clip")
+            np.subtract(self._sum[end], s, out=s)
+            np.take(self._sumsq, part, axis=0, out=q, mode="clip")
+            np.subtract(self._sumsq[end], q, out=q)
+            np.subtract(end, part, out=length)
+            np.multiply(s, s, out=s)
+            np.divide(s, length[:, None], out=s)
+            np.subtract(q, s, out=q)
+            np.sum(q, axis=1, out=out[lo:lo + rows])
+        return out
 
     def cost(self, a: int, b: int) -> float:
-        """Cost of columns ``[a, b)`` (0-based, half-open)."""
-        length = b - a
-        s = self._sum[:, b] - self._sum[:, a]
-        q = self._sumsq[:, b] - self._sumsq[:, a]
-        return float((q - s * s / length).sum())
-
-
-def segment_cost(matrix: TimeSeriesMatrix, i: int, j: int) -> float:
-    """Squared deviation from the mean over 1-based inclusive columns i..j."""
-    n = matrix.n_intervals
-    if not (1 <= i <= j <= n):
-        raise ValueError(f"need 1 <= i <= j <= {n}, got i={i}, j={j}")
-    return SegmentCost(matrix.values).cost(i - 1, j)
+        """Cost of columns ``[a, b)`` (0-based, half-open), priced as :meth:`price` does."""
+        s = self._sum[b] - self._sum[a]
+        q = self._sumsq[b] - self._sumsq[a]
+        return float((q - s * s / (b - a)).sum())
 
 
 def _points(matrix: TimeSeriesMatrix, boundaries: tuple[int, ...]) -> tuple[ChangePoint, ...]:
     ivs = matrix.intervals.intervals
     return tuple(ChangePoint(index=b + 1, interval=ivs[b]) for b in boundaries)
+
+
+def _boundaries(back: np.ndarray, state: int) -> tuple[int, ...]:
+    """Best boundaries of ``[0, state)`` followed by ``state`` itself (none for state 0)."""
+    chain = []
+    while state:
+        chain.append(state)
+        state = int(back[state])
+    return tuple(reversed(chain))
 
 
 def pelt(matrix: TimeSeriesMatrix, cfg: PeltConfig) -> ChangePointSet:
@@ -146,84 +172,68 @@ def pelt(matrix: TimeSeriesMatrix, cfg: PeltConfig) -> ChangePointSet:
     only usable once segments of ``min_segment_length`` fit, the discard
     takes effect ``min_segment_length`` steps later, which keeps the search
     exact rather than merely approximate under the length constraint.
+
+    ``F`` and the back-pointer of each state are arrays; the ascending
+    candidate array's usable prefix (``t - s >= min_segment_length``) is
+    priced in one :meth:`SegmentCost.price` pass. Only exact ties rebuild
+    boundary tuples from the back-pointers, to apply the tie-break.
     """
     work = normalize(matrix, cfg.normalize)
     n = work.n_intervals
     msl = cfg.min_segment_length
     if n < 2 * msl:
-        raise SpanTooShort(
-            f"{n} interval(s) cannot hold two segments of length {msl}"
-        )
+        raise SpanTooShort(f"{n} interval(s) cannot hold two segments of length {msl}")
     cost = SegmentCost(work.values)
     beta = cfg.beta
+    never = n + msl + 1
 
-    # state -> (objective, number of change points, boundary tuple)
-    best: dict[int, tuple[float, int, tuple[int, ...]]] = {0: (0.0, 0, ())}
-    candidates: list[int] = [0]
-    drop_from: dict[int, int] = {}
+    objective = np.zeros(n + 1)
+    back = np.zeros(n + 1, dtype=np.int64)
+    candidates = np.zeros(n + 1, dtype=np.int64)
+    drop_at = np.full(n + 1, never, dtype=np.int64)
+    base = np.empty(n + 1)
+    total = np.empty(n + 1)
+    flags = np.empty(n + 1, dtype=bool)
+    size = 1
+    next_drop = never
     evaluations = 0
 
     for t in range(msl, n + 1):
-        candidates = [s for s in candidates if drop_from.get(s, t + 1) > t]
-        chosen: tuple[float, int, tuple[int, ...]] | None = None
-        scored: list[tuple[int, float]] = []
-        for s in candidates:
-            if s and t - s < msl:
-                continue
-            f, k, bounds = best[s]
-            base = f + cost.cost(s, t)
-            entry = (base + beta, k + 1, bounds + (s,)) if s else (base + beta, 0, ())
-            evaluations += 1
-            scored.append((s, base))
-            if chosen is None or entry < chosen:
-                chosen = entry
-        assert chosen is not None
-        best[t] = chosen
-        threshold = chosen[0]
-        for s, base in scored:
-            if base > threshold:
-                drop_from.setdefault(s, t + msl)
-        candidates.append(t)
+        if next_drop <= t:
+            keep = drop_at[:size] > t
+            kept = int(np.count_nonzero(keep))
+            candidates[:kept] = candidates[:size][keep]
+            drop_at[:kept] = drop_at[:size][keep]
+            size = kept
+            next_drop = int(drop_at[:size].min())
+        live = int(np.searchsorted(candidates[:size], t - msl, side="right"))
+        starts = candidates[:live]
+        cost.price(starts, t, base[:live])
+        np.take(objective, starts, out=total[:live], mode="clip")
+        np.add(total[:live], base[:live], out=base[:live])
+        np.add(base[:live], beta, out=total[:live])
+        evaluations += live
 
-    total, _, boundaries = best[n]
+        pick = int(np.argmin(total[:live]))
+        best = total[pick]
+        chosen = int(starts[pick])
+        np.equal(total[:live], best, out=flags[:live])
+        if np.count_nonzero(flags[:live]) > 1:
+            chosen = min(starts[flags[:live]].tolist(),  # fewer points, earlier boundaries
+                         key=lambda s: (len(bounds := _boundaries(back, s)), bounds))
+        objective[t] = best
+        back[t] = chosen
+
+        np.greater(base[:live], best, out=flags[:live])
+        if flags[:live].any():
+            np.minimum(drop_at[:live], t + msl, out=drop_at[:live], where=flags[:live])
+            next_drop = min(next_drop, t + msl)
+        candidates[size] = t
+        drop_at[size] = never
+        size += 1
+
     return ChangePointSet(
-        points=_points(matrix, boundaries), total_cost=total, evaluations=evaluations
-    )
-
-
-def brute_force_optimal(
-    matrix: TimeSeriesMatrix, beta: float, min_segment_length: int = 2
-) -> ChangePointSet:
-    """Unpruned quadratic dynamic program over all admissible segmentations.
-
-    Test oracle for :func:`pelt`: same objective, same tie-breaking, no
-    pruning. Restricted to small inputs on purpose.
-    """
-    if beta < 0:
-        raise ConfigInvalid(f"penalty must be non-negative, got {beta}")
-    n = matrix.n_intervals
-    msl = min_segment_length
-    if n > 64:
-        raise ValueError("brute-force search is limited to 64 intervals")
-    if n < 2 * msl:
-        raise SpanTooShort(f"{n} interval(s) cannot hold two segments of length {msl}")
-    cost = SegmentCost(matrix.values)
-
-    best: dict[int, tuple[float, int, tuple[int, ...]]] = {0: (0.0, 0, ())}
-    evaluations = 0
-    for t in range(msl, n + 1):
-        chosen: tuple[float, int, tuple[int, ...]] | None = None
-        for s in [0] + list(range(msl, t - msl + 1)):
-            f, k, bounds = best[s]
-            base = f + cost.cost(s, t)
-            entry = (base + beta, k + 1, bounds + (s,)) if s else (base + beta, 0, ())
-            evaluations += 1
-            if chosen is None or entry < chosen:
-                chosen = entry
-        assert chosen is not None
-        best[t] = chosen
-
-    total, _, boundaries = best[n]
-    return ChangePointSet(
-        points=_points(matrix, boundaries), total_cost=total, evaluations=evaluations
+        points=_points(matrix, _boundaries(back, int(back[n]))),
+        total_cost=float(objective[n]),
+        evaluations=evaluations,
     )

@@ -47,6 +47,14 @@ class TimestampParse(IngestionError):
         self.row = row
 
 
+class NonFiniteNumber(IngestionError):
+    """A number is NaN or infinite; ``key`` is its column or attribute, ``row`` its CSV row."""
+
+    def __init__(self, where: str, key: str, value: str, row: int | None = None):
+        super().__init__(f"{where} {key!r} holds {value!r}, which is not a finite number")
+        self.key, self.row = key, row
+
+
 class EmptyLog(IngestionError):
     """The input contains no events at all."""
 

@@ -77,14 +77,3 @@ def f_sf(f: float, d1: float, d2: float) -> float:
     if f == float("inf"):
         return 0.0
     return betainc_reg(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * f))
-
-
-def f_cdf(f: float, d1: float, d2: float) -> float:
-    """Lower tail P(F <= f) for an F(d1, d2) variate."""
-    if d1 <= 0 or d2 <= 0:
-        raise ValueError("degrees of freedom must be positive")
-    if f <= 0.0:
-        return 0.0
-    if f == float("inf"):
-        return 1.0
-    return betainc_reg(d1 / 2.0, d2 / 2.0, d1 * f / (d1 * f + d2))

@@ -6,6 +6,8 @@ A :class:`CsvMapping` names the columns holding the mandatory fields
 ``strftime`` pattern for non-ISO timestamps. Attribute columns are typed by
 inference over the whole file: a column where every non-empty value parses
 as a boolean/number/timestamp gets that type, otherwise it stays text.
+A number that parses to NaN or an infinity, in a CSV cell or an XES
+int/float attribute, is an error that names its row or event and column.
 
 The XES reader covers the trace/event subset of IEEE 1849-2016 with
 string/date/int/float/boolean attributes. The standard keys concept:name,
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -27,6 +30,7 @@ from .errors import (
     EmptyLog,
     MissingColumn,
     MissingConceptName,
+    NonFiniteNumber,
     TimestampParse,
     XmlMalformed,
 )
@@ -173,11 +177,14 @@ def _infer_column_type(values: list[str]) -> str:
     return TEXT
 
 
-def _convert(value: str, ctype: str):
+def _convert(value: str, ctype: str, row: int, col: str):
     if ctype == BOOLEAN:
         return _parse_bool(value)
     if ctype == NUMBER:
-        return float(value)
+        number = float(value)
+        if not math.isfinite(number):
+            raise NonFiniteNumber(f"row {row}, column", col, value, row=row)
+        return number
     if ctype == TIMESTAMP:
         return parse_timestamp(value)
     return value
@@ -238,14 +245,14 @@ def parse_csv(path: str | Path, mapping: CsvMapping) -> EventLog:
         for col in mapping.event_attr_cols:
             value = cell(row, col)
             if value != "":
-                attrs[col] = _convert(value, col_types[col])
+                attrs[col] = _convert(value, col_types[col], rownum, col)
         case = log.cases.get(case_id)
         if case is None:
             case_attrs = {}
             for col in mapping.case_attr_cols:
                 value = cell(row, col)
                 if value != "":
-                    case_attrs[col] = _convert(value, col_types[col])
+                    case_attrs[col] = _convert(value, col_types[col], rownum, col)
             case = Case(case_id=case_id, attrs=case_attrs)
             log.cases[case_id] = case
         case.events.append(
@@ -321,12 +328,12 @@ def parse_xes(path: str | Path) -> EventLog:
     ignored_lifecycle = 0
     event_index = 0
     for tracenum, trace in enumerate(_children(root, "trace"), start=1):
-        case_attrs = _parse_attrs(trace, skip_events=True)
+        case_attrs = _parse_attrs(trace, f"trace {tracenum}", skip_events=True)
         case_id = case_attrs.pop(KEY_ACTIVITY, None) or f"trace_{tracenum}"
         case = Case(case_id=str(case_id), attrs=case_attrs)
         for ev in _children(trace, "event"):
             event_index += 1
-            attrs = _parse_attrs(ev, skip_events=False)
+            attrs = _parse_attrs(ev, f"event #{event_index}", skip_events=False)
             activity = attrs.pop(KEY_ACTIVITY, None)
             if activity is None:
                 raise MissingConceptName(
@@ -378,7 +385,7 @@ def _children(elem: ET.Element, name: str) -> list[ET.Element]:
     return [c for c in elem if _local(c.tag) == name]
 
 
-def _parse_attrs(elem: ET.Element, skip_events: bool) -> dict:
+def _parse_attrs(elem: ET.Element, where: str, skip_events: bool) -> dict:
     attrs: dict = {}
     for child in elem:
         tag = _local(child.tag)
@@ -397,6 +404,8 @@ def _parse_attrs(elem: ET.Element, skip_events: bool) -> dict:
                 attrs[key] = float(value)
             except ValueError as exc:
                 raise XmlMalformed(f"attribute {key!r} has non-numeric value {value!r}") from exc
+            if not math.isfinite(attrs[key]):
+                raise NonFiniteNumber(f"{where}, attribute", key, value)
         elif tag == "boolean":
             attrs[key] = value.strip().lower() == "true"
         # container and extension elements are outside the supported subset

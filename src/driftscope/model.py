@@ -189,36 +189,3 @@ def _merge_types(table: dict[str, str], attrs: dict, where: str) -> None:
             raise AttributeTypeMismatch(
                 f"attribute {key!r} is {prev} elsewhere but {t} at {where}"
             )
-
-
-def project_attr(log: EventLog, key: str, level: str = "event") -> list:
-    """Project an attribute across the log, returning the value multiset.
-
-    At event level the built-in fields ``activity``, ``resource``,
-    ``lifecycle`` and ``timestamp`` are served alongside free-form
-    attributes; optional fields contribute only where set. Events or cases
-    missing the key are skipped, so an unknown key yields an empty list
-    rather than an error.
-    """
-    values: list = []
-    if level == "event":
-        for e in log.iter_events():
-            if key == "activity":
-                values.append(e.activity)
-            elif key == "timestamp":
-                values.append(e.timestamp)
-            elif key == "resource":
-                if e.resource is not None:
-                    values.append(e.resource)
-            elif key == "lifecycle":
-                if e.lifecycle is not None:
-                    values.append(e.lifecycle)
-            elif key in e.attrs:
-                values.append(e.attrs[key])
-    elif level == "case":
-        for case in log.cases.values():
-            if key in case.attrs:
-                values.append(case.attrs[key])
-    else:
-        raise ValueError(f"unknown attribute level: {level!r}")
-    return values

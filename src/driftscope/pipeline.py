@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import __version__
-from .causality import CausalPair, lag_between, min_series_length, test_all_pairs
+from .causality import CausalPair, PairScan, lag_between, min_series_length, test_all_pairs
 from .changepoint import ChangePoint, ChangePointSet, PeltConfig, pelt
 from .errors import ConfigInvalid, NonPrecedingDrift
 from .model import EventLog
@@ -179,6 +179,7 @@ def run(log: EventLog, config: FrameworkConfig) -> AnalysisReport:
     explained: set[int] = set()
     skipped_degenerate = 0
     skipped_lag_pairs = 0
+    scans: dict[int, PairScan] = {}  # the scan depends only on the lag
     for cp_p in primary_cps:
         for cp_s in secondary_cps:
             try:
@@ -188,7 +189,9 @@ def run(log: EventLog, config: FrameworkConfig) -> AnalysisReport:
             if n < min_series_length(k):
                 skipped_lag_pairs += 1
                 continue
-            scan = test_all_pairs(primary, secondary, k, config.p_threshold)
+            scan = scans.get(k)
+            if scan is None:
+                scan = scans[k] = test_all_pairs(primary, secondary, k, config.p_threshold)
             skipped_degenerate += scan.skipped_degenerate
             if scan.pairs:
                 explanations.append(

@@ -155,11 +155,6 @@ def build_intervals(
     )
 
 
-def select_events(log: EventLog, interval: TimeInterval) -> list[Event]:
-    """Events whose timestamp offset falls inside the interval, in log order."""
-    return [e for e in log.iter_events() if interval.contains_us(log.offset_us(e.timestamp))]
-
-
 @dataclass(frozen=True)
 class FeatureLabel:
     """Identifies one feature row: perspective, extractor and row key."""

@@ -10,7 +10,11 @@ from datetime import datetime
 import numpy as np
 import pytest
 
+from driftscope.changepoint import ChangePoint, ChangePointSet, SegmentCost
+from driftscope.errors import ConfigInvalid, SpanTooShort
+from driftscope.fdist import betainc_reg
 from driftscope.model import Case, Event, EventLog, sort_and_validate
+from driftscope.timeseries import TimeInterval, TimeSeriesMatrix
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 
@@ -118,6 +122,55 @@ def logs_equivalent(a: EventLog, b: EventLog) -> bool:
     )
 
 
+def project_attr(log: EventLog, key: str, level: str = "event") -> list:
+    """Project an attribute across the log, returning the value multiset.
+
+    At event level the built-in fields ``activity``, ``resource``,
+    ``lifecycle`` and ``timestamp`` are served alongside free-form
+    attributes; optional fields contribute only where set. Events or cases
+    missing the key are skipped, so an unknown key yields an empty list
+    rather than an error.
+    """
+    values: list = []
+    if level == "event":
+        for e in log.iter_events():
+            if key == "activity":
+                values.append(e.activity)
+            elif key == "timestamp":
+                values.append(e.timestamp)
+            elif key == "resource":
+                if e.resource is not None:
+                    values.append(e.resource)
+            elif key == "lifecycle":
+                if e.lifecycle is not None:
+                    values.append(e.lifecycle)
+            elif key in e.attrs:
+                values.append(e.attrs[key])
+    elif level == "case":
+        for case in log.cases.values():
+            if key in case.attrs:
+                values.append(case.attrs[key])
+    else:
+        raise ValueError(f"unknown attribute level: {level!r}")
+    return values
+
+
+def select_events(log: EventLog, interval: TimeInterval) -> list[Event]:
+    """Events whose timestamp offset falls inside the interval, in log order."""
+    return [e for e in log.iter_events() if interval.contains_us(log.offset_us(e.timestamp))]
+
+
+def f_cdf(f: float, d1: float, d2: float) -> float:
+    """Lower tail P(F <= f) for an F(d1, d2) variate."""
+    if d1 <= 0 or d2 <= 0:
+        raise ValueError("degrees of freedom must be positive")
+    if f <= 0.0:
+        return 0.0
+    if f == float("inf"):
+        return 1.0
+    return betainc_reg(d1 / 2.0, d2 / 2.0, d1 * f / (d1 * f + d2))
+
+
 def two_pass_segment_cost(values: np.ndarray, a: int, b: int) -> float:
     """Squared deviation of columns [a, b) computed the naive way."""
     total = 0.0
@@ -126,6 +179,56 @@ def two_pass_segment_cost(values: np.ndarray, a: int, b: int) -> float:
         mean = sum(seg) / len(seg)
         total += sum((v - mean) ** 2 for v in seg)
     return total
+
+
+def segment_cost(matrix: TimeSeriesMatrix, i: int, j: int) -> float:
+    """Squared deviation from the mean over 1-based inclusive columns i..j."""
+    n = matrix.n_intervals
+    if not (1 <= i <= j <= n):
+        raise ValueError(f"need 1 <= i <= j <= {n}, got i={i}, j={j}")
+    return SegmentCost(matrix.values).cost(i - 1, j)
+
+
+def brute_force_optimal(
+    matrix: TimeSeriesMatrix, beta: float, min_segment_length: int = 2
+) -> ChangePointSet:
+    """Unpruned quadratic dynamic program over all admissible segmentations.
+
+    Oracle for ``pelt``: same objective, same tie-breaking (fewer change
+    points, then earlier boundaries), no pruning, one Python tuple per state.
+    Segments are priced by the same ``SegmentCost.price`` routine as the
+    search, so the two totals must agree bit for bit. Restricted to small
+    inputs on purpose.
+    """
+    if beta < 0:
+        raise ConfigInvalid(f"penalty must be non-negative, got {beta}")
+    n = matrix.n_intervals
+    msl = min_segment_length
+    if n > 64:
+        raise ValueError("brute-force search is limited to 64 intervals")
+    if n < 2 * msl:
+        raise SpanTooShort(f"{n} interval(s) cannot hold two segments of length {msl}")
+    cost = SegmentCost(matrix.values)
+
+    best: dict[int, tuple[float, int, tuple[int, ...]]] = {0: (0.0, 0, ())}
+    evaluations = 0
+    for t in range(msl, n + 1):
+        starts = np.array([0] + list(range(msl, t - msl + 1)))
+        prices = cost.price(starts, t, np.empty(len(starts))).tolist()
+        chosen: tuple[float, int, tuple[int, ...]] | None = None
+        for s, price in zip(starts.tolist(), prices):
+            f, k, bounds = best[s]
+            base = f + price
+            entry = (base + beta, k + 1, bounds + (s,)) if s else (base + beta, 0, ())
+            evaluations += 1
+            if chosen is None or entry < chosen:
+                chosen = entry
+        best[t] = chosen
+
+    total, _, boundaries = best[n]
+    ivs = matrix.intervals.intervals
+    points = tuple(ChangePoint(index=b + 1, interval=ivs[b]) for b in boundaries)
+    return ChangePointSet(points=points, total_cost=total, evaluations=evaluations)
 
 
 def enumerate_segmentations(n: int, min_seg: int):

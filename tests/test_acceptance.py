@@ -18,13 +18,7 @@ import numpy as np
 import pytest
 
 from driftscope.causality import granger_test, lag_between
-from driftscope.changepoint import (
-    ChangePoint,
-    PeltConfig,
-    brute_force_optimal,
-    normalize,
-    pelt,
-)
+from driftscope.changepoint import ChangePoint, PeltConfig, normalize, pelt
 from driftscope.cli import main as cli_main
 from driftscope.ingest import parse_xes
 from driftscope.pipeline import FrameworkConfig, run
@@ -37,7 +31,7 @@ from driftscope.timeseries import (
     parse_spec,
 )
 
-from conftest import build_log, fixture_series
+from conftest import brute_force_optimal, build_log, fixture_series
 
 # Frozen from an independent OLS/F reference implementation (see the
 # causality test module for the matching fixture at both tested lags).

@@ -6,6 +6,8 @@ Both oracles price segments through the same prefix-sum arithmetic as the
 search itself, so agreement is required to be exact, including ties.
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,15 +18,18 @@ from driftscope.changepoint import (
     ChangePointSet,
     PeltConfig,
     SegmentCost,
-    brute_force_optimal,
     normalize,
     pelt,
-    segment_cost,
 )
 from driftscope.errors import ConfigInvalid, SpanTooShort
 from driftscope.timeseries import TimeSeriesMatrix
 
-from conftest import exhaustive_best_segmentation, two_pass_segment_cost
+from conftest import (
+    brute_force_optimal,
+    exhaustive_best_segmentation,
+    segment_cost,
+    two_pass_segment_cost,
+)
 
 
 def _matrix(rows) -> TimeSeriesMatrix:
@@ -168,6 +173,24 @@ def test_sse_tie_prefers_no_split():
     assert res.total_cost == 81.0
 
 
+def test_exact_tie_prefers_lexicographically_earlier_boundaries():
+    # boundaries {3, 7}, {4, 6} and {4, 7} (0-based) tie exactly on cost and
+    # on count; picking by the last boundary alone would give {4, 6}
+    values = [[0.0, -1.0, -2.0, 0.0, 1.0, 2.0, 0.0, -2.0, -1.0]]
+    cost = SegmentCost(values)
+
+    def total(bounds):
+        acc = 0.0
+        for a, b in zip((0,) + bounds, bounds + (9,)):
+            acc = acc + cost.cost(a, b) + 0.25
+        return acc
+
+    assert total((3, 7)) == total((4, 6)) == total((4, 7)) == 6.0
+    res = pelt(_matrix(values), _cfg(beta=0.25))
+    assert res.indices == (4, 8)
+    assert res.total_cost == 6.0
+
+
 def test_normalized_run_equals_prenormalized_run():
     rng = np.random.default_rng(7)
     m = _random_matrix(rng, m=3, n=30)
@@ -181,15 +204,7 @@ def test_short_series_rejected():
     m = _matrix([[1.0, 2.0, 3.0]])
     with pytest.raises(SpanTooShort):
         pelt(m, _cfg(beta=1.0, msl=2))
-    with pytest.raises(SpanTooShort):
-        brute_force_optimal(m, beta=1.0, min_segment_length=2)
     assert isinstance(pelt(m, _cfg(beta=1.0, msl=1)), ChangePointSet)
-
-
-def test_brute_force_input_cap():
-    m = _matrix(np.zeros((1, 65)))
-    with pytest.raises(ValueError):
-        brute_force_optimal(m, beta=1.0)
 
 
 # ------------------------------------------------------------- oracle loops
@@ -225,6 +240,35 @@ def test_pelt_matches_boundary_enumeration_on_small_matrices():
         )
         assert res.indices == indices
         assert res.total_cost == pytest.approx(total, rel=1e-9, abs=1e-9)
+
+
+def test_pelt_matches_unpruned_program_on_wide_matrices():
+    # numpy sums 8 or more rows with unrolled pairwise summation; with 64
+    # rows the exact equality covers that summation order too
+    rng = np.random.default_rng(64)
+    for _ in range(40):
+        m = _random_matrix(rng, m=64, n=int(rng.integers(8, 65)))
+        msl = int(rng.integers(1, 4))
+        beta = float(rng.uniform(0.0, 200.0))
+        fast = pelt(m, _cfg(beta, msl=msl))
+        slow = brute_force_optimal(m, beta, min_segment_length=msl)
+        assert fast.indices == slow.indices
+        assert fast.total_cost == slow.total_cost
+        assert fast.evaluations <= slow.evaluations
+
+
+def test_no_change_regime_is_exact_and_bounded_in_time():
+    # nothing is pruned on pure noise under a large penalty: every step
+    # prices every earlier candidate, about n^2 / 2 evaluations
+    rng = np.random.default_rng(2000)
+    values = rng.normal(0.0, 1.0, size=(64, 2000))
+    start = time.perf_counter()
+    res = pelt(_matrix(values), _cfg(beta=2000.0))
+    elapsed = time.perf_counter() - start
+    assert res.indices == ()
+    assert res.total_cost == SegmentCost(values).cost(0, 2000) + 2000.0
+    assert res.evaluations == 2 + sum(range(2, 1999))
+    assert elapsed < 10.0  # generous: about 1 s on a 2-vCPU host
 
 
 def test_reported_cost_matches_reported_boundaries():

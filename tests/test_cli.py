@@ -126,6 +126,22 @@ def test_unparseable_timestamp_is_ingestion_error(tmp_path, capsys):
     assert rc == 3
 
 
+def test_non_finite_number_is_ingestion_error_naming_row(tmp_path, capsys):
+    log_path, mapping_path = _generate_small(tmp_path)
+    lines = log_path.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    cells = lines[2].split(",")
+    cells[header.index("age")] = "nan"
+    lines[2] = ",".join(cells)
+    log_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rc = main(["analyze", "--log", str(log_path), "--mapping", str(mapping_path),
+               "--interval", "1d", "--primary", "control_flow:df",
+               "--secondary", "data:agg(age)", "--out", str(tmp_path / "r.json")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "cannot ingest" in err and "row 3" in err and "'age'" in err
+
+
 def test_too_few_intervals_is_analysis_error(tmp_path, capsys):
     log_path, mapping_path = _generate_small(tmp_path, days=30)
     rc = main(["analyze", "--log", str(log_path), "--mapping", str(mapping_path),

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 scipy_special = pytest.importorskip("scipy.special")
 scipy_stats = pytest.importorskip("scipy.stats")
 
-from driftscope.fdist import betainc_reg, f_cdf, f_sf
+from driftscope.fdist import betainc_reg, f_sf
+
+from conftest import f_cdf
 
 SHAPES = [0.5, 1.0, 2.0, 3.5, 10.0, 50.0, 95.0, 200.0]
 XS = [1e-12, 1e-6, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1 - 1e-9]

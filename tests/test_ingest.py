@@ -9,6 +9,7 @@ from driftscope.errors import (
     EmptyLog,
     MissingColumn,
     MissingConceptName,
+    NonFiniteNumber,
     TimestampParse,
     XmlMalformed,
 )
@@ -121,6 +122,36 @@ def test_parse_csv_typed_attributes(tmp_path):
     assert first.attrs == {"amount": 100.5, "approved": True, "channel": "web"}
     # empty cells are missing values, not empty strings
     assert "amount" not in log.cases["c2"].events[0].attrs
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+def test_parse_csv_non_finite_number_names_row_and_column(tmp_path, bad):
+    text = (
+        "case,activity,timestamp,amount\n"
+        "c1,a,2021-06-15 12:30,100.5\n"
+        f"c1,b,2021-06-15 12:40,{bad}\n"
+    )
+    mapping = CsvMapping(
+        case_id_col="case",
+        activity_col="activity",
+        timestamp_col="timestamp",
+        event_attr_cols=("amount",),
+    )
+    with pytest.raises(NonFiniteNumber) as err:
+        parse_csv(_write(tmp_path, "log.csv", text), mapping)
+    assert (err.value.row, err.value.key) == (3, "amount")
+    assert "row 3" in str(err.value) and "'amount'" in str(err.value)
+
+
+def test_parse_csv_non_finite_case_attribute_names_row(tmp_path):
+    text = "case,activity,timestamp,budget\nc1,a,2021-06-15 12:30,1\nc2,a,2021-06-15 12:40,inf\n"
+    mapping = CsvMapping(
+        case_id_col="case", activity_col="activity", timestamp_col="timestamp",
+        case_attr_cols=("budget",),
+    )
+    with pytest.raises(NonFiniteNumber) as err:
+        parse_csv(_write(tmp_path, "log.csv", text), mapping)
+    assert (err.value.row, err.value.key) == (3, "budget")
 
 
 def test_parse_csv_case_attrs_from_first_row(tmp_path):
@@ -239,6 +270,25 @@ def test_parse_xes_missing_timestamp_names_event(tmp_path):
     with pytest.raises(TimestampParse) as err:
         parse_xes(_write(tmp_path, "log.xes", doc))
     assert err.value.row == 1
+
+
+@pytest.mark.parametrize("tag,bad", [("float", "NaN"), ("int", "inf"), ("float", "-INF")])
+def test_parse_xes_non_finite_number_names_event_and_key(tmp_path, tag, bad):
+    doc = XES_DOC.replace('<int key="age" value="44"/>', f'<{tag} key="age" value="{bad}"/>')
+    with pytest.raises(NonFiniteNumber) as err:
+        parse_xes(_write(tmp_path, "log.xes", doc))
+    assert err.value.key == "age"
+    assert "event #1" in str(err.value) and "'age'" in str(err.value)
+
+
+def test_parse_xes_non_finite_trace_attribute_names_trace(tmp_path):
+    doc = XES_DOC.replace(
+        '<string key="channel" value="web"/>', '<float key="budget" value="nan"/>'
+    )
+    with pytest.raises(NonFiniteNumber) as err:
+        parse_xes(_write(tmp_path, "log.xes", doc))
+    assert err.value.key == "budget"
+    assert "trace 1" in str(err.value)
 
 
 def test_parse_xes_malformed(tmp_path):

@@ -16,11 +16,10 @@ from driftscope.model import (
     Event,
     EventLog,
     attribute_type,
-    project_attr,
     sort_and_validate,
 )
 
-from conftest import build_log
+from conftest import build_log, project_attr
 
 
 def test_claims_log_catalogs(claims_log):

@@ -30,12 +30,11 @@ from driftscope.timeseries import (
     LogIndex,
     parse_spec,
     render_spec,
-    select_events,
     write_series_csv,
 )
 from driftscope.timeseries import TimeSeriesMatrix
 
-from conftest import build_log
+from conftest import build_log, select_events
 
 BASE = datetime(2021, 6, 15, 12, 0)
 
