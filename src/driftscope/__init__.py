@@ -34,7 +34,6 @@ from .timeseries import (  # noqa: F401
     TimeSeriesMatrix,
     build_intervals,
     build_time_series,
-    make_extractor,
     parse_spec,
     write_series_csv,
 )

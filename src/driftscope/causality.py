@@ -151,6 +151,12 @@ def granger_test(effect, cause, lag: int) -> GrangerResult:
     )
 
 
+def check_p_threshold(p_threshold: float) -> None:
+    """Raise :class:`ConfigInvalid` unless the threshold lies in [0, 1)."""
+    if not 0.0 <= p_threshold < 1.0:
+        raise ConfigInvalid(f"p-value threshold must lie in [0, 1), got {p_threshold}")
+
+
 def test_all_pairs(
     primary: TimeSeriesMatrix,
     secondary: TimeSeriesMatrix,
@@ -167,8 +173,7 @@ def test_all_pairs(
         raise IntervalMismatch(
             "primary and secondary series were built over different interval sequences"
         )
-    if not 0.0 <= p_threshold < 1.0:
-        raise ConfigInvalid(f"p-value threshold must lie in [0, 1), got {p_threshold}")
+    check_p_threshold(p_threshold)
     pairs: list[CausalPair] = []
     tested = 0
     skipped = 0

@@ -29,6 +29,18 @@ from .timeseries import TimeInterval, TimeSeriesMatrix
 NORMALIZATIONS = ("max_abs", "zscore", "none")
 
 
+def check_penalty(beta: float, name: str = "penalty") -> None:
+    """Raise :class:`ConfigInvalid` for a negative per-segment penalty."""
+    if beta < 0:
+        raise ConfigInvalid(f"{name} must be non-negative, got {beta}")
+
+
+def check_min_segment_length(length: int) -> None:
+    """Raise :class:`ConfigInvalid` for a minimum segment length below 1."""
+    if length < 1:
+        raise ConfigInvalid(f"minimum segment length must be at least 1, got {length}")
+
+
 @dataclass(frozen=True)
 class PeltConfig:
     beta: float
@@ -36,10 +48,8 @@ class PeltConfig:
     normalize: str = "max_abs"
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ConfigInvalid(f"penalty must be non-negative, got {self.beta}")
-        if self.min_segment_length < 1:
-            raise ConfigInvalid("minimum segment length must be at least 1")
+        check_penalty(self.beta)
+        check_min_segment_length(self.min_segment_length)
         if self.normalize not in NORMALIZATIONS:
             raise ConfigInvalid(
                 f"unknown normalization {self.normalize!r}; expected one of {NORMALIZATIONS}"

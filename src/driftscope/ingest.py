@@ -194,9 +194,11 @@ def parse_csv(path: str | Path, mapping: CsvMapping) -> EventLog:
     """Read a delimited file into a validated event log.
 
     One event is created per data row, with identifiers synthesised from the
-    row number; duplicate rows are therefore accepted. Case attributes are
-    taken from the first row of each case. Empty cells count as missing
-    values and are skipped.
+    row number; duplicate rows are therefore accepted. Empty cells count as
+    missing values and are skipped. A case attribute takes the first value
+    its case's rows give it; every row's cell is still converted and
+    checked, and each later value that differs is counted in
+    ``log.meta["case_attr_conflicts"]``.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=mapping.delimiter)
@@ -227,6 +229,7 @@ def parse_csv(path: str | Path, mapping: CsvMapping) -> EventLog:
 
     log = EventLog()
     ignored_lifecycle = 0
+    case_attr_conflicts = 0
     for rownum, row in enumerate(rows, start=2):
         case_id = cell(row, mapping.case_id_col)
         activity = cell(row, mapping.activity_col)
@@ -248,13 +251,13 @@ def parse_csv(path: str | Path, mapping: CsvMapping) -> EventLog:
                 attrs[col] = _convert(value, col_types[col], rownum, col)
         case = log.cases.get(case_id)
         if case is None:
-            case_attrs = {}
-            for col in mapping.case_attr_cols:
-                value = cell(row, col)
-                if value != "":
-                    case_attrs[col] = _convert(value, col_types[col], rownum, col)
-            case = Case(case_id=case_id, attrs=case_attrs)
-            log.cases[case_id] = case
+            case = log.cases[case_id] = Case(case_id=case_id)
+        for col in mapping.case_attr_cols:
+            value = cell(row, col)
+            if value != "":
+                value = _convert(value, col_types[col], rownum, col)
+                if case.attrs.setdefault(col, value) != value:
+                    case_attr_conflicts += 1
         case.events.append(
             Event(
                 event_id=f"e{rownum - 1}",
@@ -268,6 +271,8 @@ def parse_csv(path: str | Path, mapping: CsvMapping) -> EventLog:
         )
     if ignored_lifecycle:
         log.meta["ignored_lifecycle_transitions"] = ignored_lifecycle
+    if case_attr_conflicts:
+        log.meta["case_attr_conflicts"] = case_attr_conflicts
     return sort_and_validate(log)
 
 

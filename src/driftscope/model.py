@@ -10,14 +10,19 @@ Logs are assembled in whatever order the source provides and then passed
 through :func:`sort_and_validate`, which orders events, checks identifier
 uniqueness and rebuilds the derived catalogs (activity alphabet, resource
 set, attribute tables, time span). After that the log is treated as
-immutable by the rest of the package.
+immutable by the rest of the package, which reads it through
+:attr:`EventLog.table`: the same events as numpy columns, built on first use
+and kept for the life of the log.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
+from functools import cached_property
 from typing import Iterator
+
+import numpy as np
 
 from .errors import (
     AttributeTypeMismatch,
@@ -121,6 +126,104 @@ class EventLog:
     def offset_us(self, ts: datetime) -> int:
         """Offset of ``ts`` from the log origin in exact integer microseconds."""
         return (ts - self.origin) // _US
+
+    @cached_property
+    def table(self) -> "EventTable":
+        """The events as numpy columns; built once, on first use."""
+        return EventTable(self)
+
+
+class EventTable:
+    """The events of a validated log as numpy columns.
+
+    Row ``i`` is the ``i``-th event of :meth:`EventLog.iter_events`, so each
+    case's events are contiguous and in time order. ``case``, ``activity``
+    and ``resource`` are int32 codes into ``log.cases`` (stored order),
+    ``log.activities`` and ``log.resources``; -1 means no resource.
+
+    * ``offset_us``: int64 offset from the log origin.
+    * ``prev``: row of the previous event of the same case, -1 for none.
+    * ``service_s``: for a complete event, seconds since the nearest
+      preceding still-open start of the same activity in the same case,
+      which that complete closes; NaN for every other event.
+    * ``case_end``: the row is its case's last event; ``case_duration_s``
+      holds each case's first-to-last span, indexed by case code.
+    * ``event_attrs`` / ``case_attrs``: per attribute key, a presence mask
+      and a float64 column (per event or per case), NaN where absent.
+      Non-numeric values are stored as codes of their distinct values.
+
+    Durations are integer-microsecond differences divided by 1e6, which is
+    exactly ``timedelta.total_seconds()``.
+    """
+
+    def __init__(self, log: EventLog):
+        cases = list(log.cases.values())
+        events = [e for case in cases for e in case.events]
+        n = len(events)
+        sizes = np.array([len(case.events) for case in cases], dtype=np.int64)
+        first = np.cumsum(sizes) - sizes
+        last = (first + sizes - 1)[sizes > 0]
+        first = first[sizes > 0]
+
+        origin = log.span[0] if log.span else None
+        self.offset_us = np.fromiter(((e.timestamp - origin) // _US for e in events), np.int64, n)
+        self.case = np.repeat(np.arange(len(cases), dtype=np.int32), sizes)
+        act = {a: i for i, a in enumerate(log.activities)}
+        self.activity = np.fromiter((act[e.activity] for e in events), np.int32, n)
+        res = {r: i for i, r in enumerate(log.resources)}
+        self.resource = np.fromiter((res.get(e.resource, -1) for e in events), np.int32, n)
+        self.prev = np.arange(-1, n - 1)
+        self.prev[first] = -1
+        self.case_end = np.zeros(n, dtype=bool)
+        self.case_end[last] = True
+        self.case_duration_s = np.zeros(len(cases))
+        self.case_duration_s[sizes > 0] = (self.offset_us[last] - self.offset_us[first]) / 1e6
+        self.service_s = self._service_seconds(events, len(log.activities))
+        event_maps = [e.attrs for e in events]
+        self.event_attrs = {
+            key: _column(event_maps, key, kind) for key, kind in log.event_attr_types.items()
+        }
+        case_maps = [case.attrs for case in cases]
+        self.case_attrs = {
+            key: _column(case_maps, key, kind) for key, kind in log.case_attr_types.items()
+        }
+
+    def _service_seconds(self, events: list[Event], n_activities: int) -> np.ndarray:
+        # Walk the start/complete rows grouped by (case, activity), in time
+        # order within each group; no per-event containers, so no GC churn.
+        kinds = {LIFECYCLE_START: 1, LIFECYCLE_COMPLETE: 2}
+        kind = np.fromiter((kinds.get(e.lifecycle, 0) for e in events), np.int8, len(events))
+        rows = np.flatnonzero(kind)
+        group = self.case[rows].astype(np.int64) * n_activities + self.activity[rows]
+        order = np.argsort(group, kind="stable")
+        rows, group = rows[order], group[order]
+        open_starts: list[int] = []
+        starts: list[int] = []
+        completes: list[int] = []
+        current = -1
+        for row, g, k in zip(rows.tolist(), group.tolist(), kind[rows].tolist()):
+            if g != current:
+                open_starts.clear()
+                current = g
+            if k == 1:
+                open_starts.append(row)
+            elif open_starts:
+                starts.append(open_starts.pop())
+                completes.append(row)
+        out = np.full(len(events), np.nan)
+        out[completes] = (self.offset_us[completes] - self.offset_us[starts]) / 1e6
+        return out
+
+
+def _column(attr_maps: list[dict], key: str, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Presence mask and float64 values of one attribute across ``attr_maps``."""
+    present = np.fromiter((key in m for m in attr_maps), bool, len(attr_maps))
+    if kind == NUMBER:
+        values = (m.get(key, np.nan) for m in attr_maps)
+    else:
+        codes: dict = {}
+        values = (codes.setdefault(m[key], len(codes)) if key in m else np.nan for m in attr_maps)
+    return present, np.fromiter(values, np.float64, len(attr_maps))
 
 
 def sort_and_validate(log: EventLog) -> EventLog:

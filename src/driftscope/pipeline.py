@@ -16,8 +16,22 @@ import json
 from dataclasses import dataclass, field
 
 from . import __version__
-from .causality import CausalPair, PairScan, lag_between, min_series_length, test_all_pairs
-from .changepoint import ChangePoint, ChangePointSet, PeltConfig, pelt
+from .causality import (
+    CausalPair,
+    PairScan,
+    check_p_threshold,
+    lag_between,
+    min_series_length,
+    test_all_pairs,
+)
+from .changepoint import (
+    ChangePoint,
+    ChangePointSet,
+    PeltConfig,
+    check_min_segment_length,
+    check_penalty,
+    pelt,
+)
 from .errors import ConfigInvalid, NonPrecedingDrift
 from .model import EventLog
 from .timeseries import (
@@ -26,6 +40,7 @@ from .timeseries import (
     TimeSeriesMatrix,
     build_intervals,
     build_time_series,
+    duration_to_us,
     render_spec,
 )
 
@@ -55,14 +70,11 @@ class FrameworkConfig:
                 raise ConfigInvalid(
                     f"{role} extractors must share one perspective, got {sorted(perspectives)}"
                 )
-        if self.interval_seconds <= 0:
-            raise ConfigInvalid("interval duration must be positive")
-        if self.beta_primary < 0 or self.beta_secondary < 0:
-            raise ConfigInvalid("penalties must be non-negative")
-        if not 0.0 <= self.p_threshold < 1.0:
-            raise ConfigInvalid("p-value threshold must lie in [0, 1)")
-        if self.min_segment_length < 1:
-            raise ConfigInvalid("minimum segment length must be at least 1")
+        duration_to_us(self.interval_seconds)
+        check_penalty(self.beta_primary, "beta_primary")
+        check_penalty(self.beta_secondary, "beta_secondary")
+        check_p_threshold(self.p_threshold)
+        check_min_segment_length(self.min_segment_length)
 
     @property
     def primary_perspective(self) -> str:

@@ -7,20 +7,34 @@ the events of each interval onto one or more numeric rows, so that a list of
 extractor specifications yields a feature matrix with one column per
 interval and a fixed, deterministically ordered set of labelled rows.
 
-Extractors come in four perspectives:
+Extraction reads the log's event table (:class:`~driftscope.model.EventTable`),
+which every matrix built from one log shares. Each event's interval is
+``offset_us // duration_us``, in integer microseconds, so membership never
+depends on floating-point rounding. Events at or past the last full interval
+lie in the dropped tail and count nowhere. Extractors come in four
+perspectives:
 
 * ``control_flow``: directly-follows counts over the activity alphabet,
-  relation indicators (causal/parallel), dependency scores, and the number
-  of distinct activities.
+  causal/parallel indicators and dependency scores derived from them, and
+  the number of distinct activities. A directly-follows pair counts only
+  when both of its events lie in the same interval.
 * ``performance``: per-activity service and sojourn times, case durations,
-  and overtime counts.
+  and overtime counts. A complete event's service time runs from the
+  nearest preceding start of the same activity in the same case that no
+  other complete has closed; it counts in the complete's interval. A
+  sojourn runs from the previous event of the case, wherever that lies. A
+  case's duration counts in the interval of its last event.
 * ``data``: aggregations and threshold counts over attribute values, plus
-  raw event/case counts.
-* ``resource``: per-resource workload, active-resource counts and resource
-  attribute aggregations.
+  raw event/case counts. Event-level attributes give one value per event
+  that carries them; case-level attributes give one value per case active
+  in the interval.
+* ``resource``: per-resource workload, active-resource counts, and
+  attribute aggregations; an event-level attribute counts there only on
+  events that carry a resource, a case-level one on every active case.
 
-All interval arithmetic is carried out in integer microseconds so that
-boundary membership never depends on floating-point rounding.
+A mean, minimum, maximum or sum over an interval with no values is 0. Means
+are exactly rounded (``statistics.fmean``) and sums run left to right in log
+order, so every figure is the same whatever the grouping machinery.
 """
 
 from __future__ import annotations
@@ -28,6 +42,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from functools import cached_property
 from statistics import fmean
 
 import numpy as np
@@ -38,13 +53,7 @@ from .errors import (
     SpanTooShort,
     TypeMismatch,
 )
-from .model import (
-    LIFECYCLE_COMPLETE,
-    LIFECYCLE_START,
-    NUMBER,
-    Event,
-    EventLog,
-)
+from .model import NUMBER, EventLog
 
 US_PER_SECOND = 1_000_000
 
@@ -53,9 +62,6 @@ PERSPECTIVES = ("control_flow", "performance", "data", "resource")
 #: Aggregator names accepted by the data/resource aggregation extractors,
 #: in canonical row order.
 AGGREGATORS = ("min", "max", "sum", "avg", "count", "set_avg")
-
-#: Aggregators that only make sense for numeric attribute values.
-_NUMERIC_AGGREGATORS = frozenset(AGGREGATORS) - {"count"}
 
 
 @dataclass(frozen=True)
@@ -116,12 +122,13 @@ class IntervalSequence:
         origin: datetime = datetime(2020, 1, 6),
     ) -> "IntervalSequence":
         """Build a synthetic sequence of ``n`` intervals (test/tool helper)."""
-        dur_us = _duration_us(duration_seconds)
+        dur_us = duration_to_us(duration_seconds)
         ivs = tuple(TimeInterval(i * dur_us, (i + 1) * dur_us) for i in range(n))
         return cls(intervals=ivs, duration_us=dur_us, origin=origin)
 
 
-def _duration_us(duration_seconds: float) -> int:
+def duration_to_us(duration_seconds: float) -> int:
+    """An interval duration in whole microseconds; raise unless it is positive."""
     dur_us = round(duration_seconds * US_PER_SECOND)
     if dur_us <= 0:
         raise ConfigInvalid(f"interval duration must be positive, got {duration_seconds}")
@@ -138,7 +145,7 @@ def build_intervals(
     """
     if log.span is None:
         raise SpanTooShort("log contains no events")
-    dur_us = _duration_us(duration_seconds)
+    dur_us = duration_to_us(duration_seconds)
     span_us = log.offset_us(log.span[1])
     n = span_us // dur_us
     if n < min_intervals:
@@ -264,305 +271,98 @@ def _trim(x: float) -> str:
     return repr(int(x)) if float(x).is_integer() else repr(float(x))
 
 
-class LogIndex:
-    """Per-log lookups shared by the extractors.
+def _counts(bucket: np.ndarray, key, size: int, n: int) -> np.ndarray:
+    """Events per (key, interval) as a float ``size x n`` array.
 
-    Built once per matrix: event offsets in microseconds, predecessor links
-    within each case, case end events with durations, and start/complete
-    service pairs matched per case and activity by nearest preceding start.
+    Interval ``n`` is the dropped tail: it is counted and then cut off.
     """
+    flat = np.bincount(bucket * size + key, minlength=(n + 1) * size)
+    return flat[: n * size].reshape(n, size).T.astype(float)
 
-    def __init__(self, log: EventLog):
+
+def _reduce(bucket: np.ndarray, key, values: np.ndarray, size: int, n: int, fn) -> np.ndarray:
+    """``fn`` over the values of each (key, interval) in row order, 0 where none.
+
+    The values of one group are handed to ``fn`` as a Python list, so the
+    builtins (``min``, ``sum``, ``fmean``...) see exactly the sequence the
+    events produce, in the order ``iter_events`` yields them.
+    """
+    keep = bucket < n
+    keys = (bucket * size + key)[keep]
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], values[keep][order].tolist()
+    heads = np.flatnonzero(np.diff(keys, prepend=-1))
+    bounds = [*heads.tolist(), len(vals)]
+    out = np.zeros(n * size)
+    out[keys[heads]] = [fn(vals[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return out.reshape(n, size).T
+
+
+#: Numeric aggregators; ``count`` needs no values. ``fmean`` is an exactly
+#: rounded sum divided by the length, so the order of a set does not matter.
+_REDUCERS = {
+    "min": min,
+    "max": max,
+    "sum": sum,
+    "avg": fmean,
+    "set_avg": lambda values: fmean(set(values)),
+}
+
+
+class _Grid:
+    """One log's event table cut into the intervals of one sequence."""
+
+    def __init__(self, log: EventLog, intervals: IntervalSequence):
         self.log = log
-        self.offset_us: dict[str, int] = {}
-        self.prev: dict[str, Event] = {}
-        self.case_end: dict[str, tuple[str, float]] = {}
-        self.service_s: dict[str, float] = {}
-        for case in log.cases.values():
-            open_starts: dict[str, list[Event]] = {}
-            prev_event: Event | None = None
-            for e in case.events:
-                self.offset_us[e.event_id] = log.offset_us(e.timestamp)
-                if prev_event is not None:
-                    self.prev[e.event_id] = prev_event
-                prev_event = e
-                if e.lifecycle == LIFECYCLE_START:
-                    open_starts.setdefault(e.activity, []).append(e)
-                elif e.lifecycle == LIFECYCLE_COMPLETE:
-                    stack = open_starts.get(e.activity)
-                    if stack:
-                        start = stack.pop()
-                        delta = (e.timestamp - start.timestamp).total_seconds()
-                        self.service_s[e.event_id] = delta
-            if case.events:
-                first, last = case.events[0], case.events[-1]
-                duration = (last.timestamp - first.timestamp).total_seconds()
-                self.case_end[case.case_id] = (last.event_id, duration)
-
-
-class BoundExtractor:
-    """An extractor bound to a log: fixed labels, one column per interval."""
-
-    perspective: str = ""
-    name: str = ""
-
-    def __init__(self, log: EventLog, index: LogIndex, params: dict):
-        self.log = log
-        self.index = index
-        self.params = params
+        self.table = log.table
+        self.n = len(intervals)
+        self.bucket = np.minimum(self.table.offset_us // intervals.duration_us, self.n)
         self.warnings: list[str] = []
-        self.labels: tuple[FeatureLabel, ...] = ()
 
-    def _label(self, key: str = "", extractor: str | None = None) -> FeatureLabel:
-        return FeatureLabel(self.perspective, extractor or self.name, key)
+    @cached_property
+    def df(self) -> np.ndarray:
+        """Directly-follows counts as an ``A x A x n`` array, both events in one interval."""
+        t, a = self.table, len(self.log.activities)
+        rows = np.flatnonzero(t.prev >= 0)
+        rows = rows[self.bucket[rows] == self.bucket[t.prev[rows]]]
+        prev = t.prev[rows]
+        key = t.activity[prev] * a + t.activity[rows]
+        return _counts(self.bucket[rows], key, a * a, self.n).reshape(a, a, self.n)
 
-    def column(self, events: list[Event], interval: TimeInterval) -> list[float]:
-        raise NotImplementedError
+    @cached_property
+    def case_heads(self) -> np.ndarray:
+        """Rows that are their case's first event in their interval."""
+        prev = self.table.prev
+        return (prev < 0) | (self.bucket[prev] != self.bucket)
 
+    def per_activity(self, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Mean of ``values`` (one per row in ``rows``) per activity and interval."""
+        size = len(self.log.activities)
+        return _reduce(self.bucket[rows], self.table.activity[rows], values, size, self.n, fmean)
 
-def _mean_or_zero(values: list[float]) -> float:
-    return fmean(values) if values else 0.0
+    def attr_values(self, attr: str, level: str, resource_only: bool) -> tuple:
+        """Interval and value of every attribute value the intervals see, in row order.
 
-
-class _ControlFlowBase(BoundExtractor):
-    perspective = "control_flow"
-
-    def _df_counts(self, events: list[Event], interval: TimeInterval) -> np.ndarray:
-        """Directly-follows counts; both endpoints must lie in the interval."""
-        alphabet = self.log.activities
-        pos = {a: i for i, a in enumerate(alphabet)}
-        counts = np.zeros((len(alphabet), len(alphabet)))
-        for e in events:
-            p = self.index.prev.get(e.event_id)
-            if p is not None and interval.contains_us(self.index.offset_us[p.event_id]):
-                counts[pos[p.activity], pos[e.activity]] += 1.0
-        return counts
-
-
-class _DirectlyFollows(_ControlFlowBase):
-    name = "df"
-
-    def __init__(self, log, index, params):
-        super().__init__(log, index, params)
-        self.labels = tuple(
-            self._label(f"{a}->{b}") for a in log.activities for b in log.activities
-        )
-
-    def column(self, events, interval):
-        return list(self._df_counts(events, interval).ravel())
+        Event-level: each event carrying the attribute (with a resource, if
+        ``resource_only``). Case-level: one value per case active in the
+        interval, taken at its first event there.
+        """
+        t = self.table
+        if level == "event":
+            present, values = t.event_attrs[attr]
+            rows = present & (t.resource >= 0) if resource_only else present
+            return self.bucket[rows], values[rows]
+        present, values = t.case_attrs[attr]
+        rows = self.case_heads & present[t.case]
+        return self.bucket[rows], values[t.case[rows]]
 
 
-class _AlphaRelations(_ControlFlowBase):
-    """Causal/parallel indicators per unordered activity pair.
-
-    For a pair (a, b) in alphabet order: the causal row is 1 when a is
-    directly followed by b but never the reverse; the parallel row is 1
-    when both directions occur. Both rows zero means independence or a
-    reversed causal relation.
-    """
-
-    name = "alpha"
-
-    def __init__(self, log, index, params):
-        super().__init__(log, index, params)
-        labels = []
-        for i, a in enumerate(log.activities):
-            for b in log.activities[i + 1:]:
-                labels.append(self._label(f"causal({a}->{b})"))
-                labels.append(self._label(f"parallel({a}||{b})"))
-        self.labels = tuple(labels)
-
-    def column(self, events, interval):
-        df = self._df_counts(events, interval)
-        out = []
-        for i in range(len(self.log.activities)):
-            for j in range(i + 1, len(self.log.activities)):
-                out.append(1.0 if df[i, j] > 0 and df[j, i] == 0 else 0.0)
-                out.append(1.0 if df[i, j] > 0 and df[j, i] > 0 else 0.0)
-        return out
-
-
-class _DependencyScore(_ControlFlowBase):
-    """Signed dependency score per ordered pair: (|a>b|-|b>a|)/(|a>b|+|b>a|+1)."""
-
-    name = "dependency"
-
-    def __init__(self, log, index, params):
-        super().__init__(log, index, params)
-        self.labels = tuple(
-            self._label(f"{a}=>{b}") for a in log.activities for b in log.activities
-        )
-
-    def column(self, events, interval):
-        df = self._df_counts(events, interval)
-        score = (df - df.T) / (df + df.T + 1.0)
-        return list(score.ravel())
-
-
-class _ActivityCount(_ControlFlowBase):
-    name = "activity_count"
-
-    def __init__(self, log, index, params):
-        super().__init__(log, index, params)
-        self.labels = (self._label(),)
-
-    def column(self, events, interval):
-        return [float(len({e.activity for e in events}))]
-
-
-class _ServiceTime(BoundExtractor):
-    """Mean service time per activity over pairs completing in the interval."""
-
-    perspective = "performance"
-    name = "service_time"
-
-    def __init__(self, log, index, params):
-        super().__init__(log, index, params)
-        self.labels = tuple(self._label(a) for a in log.activities)
-        if not index.service_s:
-            self.warnings.append(
-                "no start/complete pairs found; service_time rows will be all zero"
-            )
-
-    def column(self, events, interval):
-        acc: dict[str, list[float]] = {}
-        for e in events:
-            d = self.index.service_s.get(e.event_id)
-            if d is not None:
-                acc.setdefault(e.activity, []).append(d)
-        return [_mean_or_zero(acc.get(a, [])) for a in self.log.activities]
-
-
-class _Sojourn(BoundExtractor):
-    """Mean wait per activity since the previous event of the same case."""
-
-    perspective = "performance"
-    name = "sojourn"
-
-    def __init__(self, log, index, params):
-        super().__init__(log, index, params)
-        self.labels = tuple(self._label(a) for a in log.activities)
-
-    def column(self, events, interval):
-        acc: dict[str, list[float]] = {}
-        for e in events:
-            p = self.index.prev.get(e.event_id)
-            if p is not None:
-                delta = (e.timestamp - p.timestamp).total_seconds()
-                acc.setdefault(e.activity, []).append(delta)
-        return [_mean_or_zero(acc.get(a, [])) for a in self.log.activities]
-
-
-class _CaseDuration(BoundExtractor):
-    """Mean duration of the cases that end inside the interval."""
-
-    perspective = "performance"
-    name = "case_duration"
-
-    def __init__(self, log, index, params):
-        super().__init__(log, index, params)
-        self.labels = (self._label(),)
-
-    def _durations(self, events):
-        out = []
-        for e in events:
-            end = self.index.case_end.get(e.case_id)
-            if end is not None and end[0] == e.event_id:
-                out.append(end[1])
-        return out
-
-    def column(self, events, interval):
-        return [_mean_or_zero(self._durations(events))]
-
-
-class _Overtime(_CaseDuration):
-    """Number of cases ending in the interval that ran over the bound."""
-
-    name = "overtime"
-
-    def __init__(self, log, index, params):
-        super().__init__(log, index, params)
-        if "bound_seconds" not in params:
-            raise ConfigInvalid("performance:overtime requires a bound in seconds")
-        self.bound = float(params["bound_seconds"])
-
-    def column(self, events, interval):
-        return [float(sum(1 for d in self._durations(events) if d > self.bound))]
-
-
-class _Aggregate(BoundExtractor):
-    """Aggregations over the values an attribute takes inside the interval.
-
-    Event-level attributes contribute the values of in-interval events;
-    case-level attributes contribute one value per case active in the
-    interval. ``set_avg`` averages distinct values. Empty intervals yield 0
-    for every aggregator.
-    """
-
-    perspective = "data"
-    name = "agg"
-
-    def __init__(self, log, index, params):
-        super().__init__(log, index, params)
-        self.attr = params["attr"]
-        self.aggregators = tuple(params.get("aggregators") or AGGREGATORS)
-        self.level = _resolve_attr_level(log, self.attr)
-        value_type = (
-            log.event_attr_types if self.level == "event" else log.case_attr_types
-        )[self.attr]
-        for agg in self.aggregators:
-            if agg in _NUMERIC_AGGREGATORS and value_type != NUMBER:
-                raise TypeMismatch(
-                    f"aggregator {agg!r} requires numeric values, but attribute "
-                    f"{self.attr!r} holds {value_type}",
-                    attr=self.attr,
-                    aggregator=agg,
-                )
-        self.labels = tuple(self._label(f"{self.attr}.{agg}") for agg in self.aggregators)
-
-    def _values(self, events: list[Event]) -> list:
-        if self.level == "event":
-            return [e.attrs[self.attr] for e in self._scope(events) if self.attr in e.attrs]
-        seen: dict[str, None] = {}
-        for e in events:
-            seen.setdefault(e.case_id)
-        return [
-            self.log.cases[cid].attrs[self.attr]
-            for cid in seen
-            if self.attr in self.log.cases[cid].attrs
-        ]
-
-    def _scope(self, events: list[Event]) -> list[Event]:
-        return events
-
-    def column(self, events, interval):
-        values = self._values(events)
-        return [_aggregate(agg, values) for agg in self.aggregators]
-
-
-def _aggregate(agg: str, values: list) -> float:
-    if agg == "count":
-        return float(len(values))
-    if not values:
-        return 0.0
-    if agg == "min":
-        return float(min(values))
-    if agg == "max":
-        return float(max(values))
-    if agg == "sum":
-        return float(sum(values))
-    if agg == "avg":
-        return fmean(values)
-    if agg == "set_avg":
-        return fmean(sorted(set(values)))
-    raise ConfigInvalid(f"unknown aggregator {agg!r}")
-
-
-def _resolve_attr_level(log: EventLog, attr: str) -> str:
+def _resolve_attr(log: EventLog, attr: str) -> tuple[str, str]:
+    """The attribute's level (``event`` or ``case``) and value type."""
     if attr in log.event_attr_types:
-        return "event"
+        return "event", log.event_attr_types[attr]
     if attr in log.case_attr_types:
-        return "case"
+        return "case", log.case_attr_types[attr]
     raise NoExtractableFeatures(
         f"attribute {attr!r} does not occur in the log "
         f"(event attributes: {sorted(log.event_attr_types) or 'none'}; "
@@ -570,130 +370,145 @@ def _resolve_attr_level(log: EventLog, attr: str) -> str:
     )
 
 
-class _ThresholdCount(BoundExtractor):
-    """How many attribute values in the interval exceed the bound."""
+def _df(g: _Grid, params: dict):
+    acts = g.log.activities
+    return [f"{a}->{b}" for a in acts for b in acts], g.df.reshape(-1, g.n)
 
-    perspective = "data"
-    name = "threshold"
 
-    def __init__(self, log, index, params):
-        super().__init__(log, index, params)
-        self.attr = params["attr"]
-        self.bound = float(params["bound"])
-        self.level = _resolve_attr_level(log, self.attr)
-        value_type = (
-            log.event_attr_types if self.level == "event" else log.case_attr_types
-        )[self.attr]
-        if value_type != NUMBER:
+def _alpha(g: _Grid, params: dict):
+    acts = g.log.activities
+    i, j = np.triu_indices(len(acts), 1)
+    fwd, back = g.df[i, j] > 0, g.df[j, i] > 0
+    rows = np.empty((2 * len(i), g.n))
+    rows[0::2] = fwd & ~back
+    rows[1::2] = fwd & back
+    keys = []
+    for a, b in zip(i.tolist(), j.tolist()):
+        keys += [f"causal({acts[a]}->{acts[b]})", f"parallel({acts[a]}||{acts[b]})"]
+    return keys, rows
+
+
+def _dependency(g: _Grid, params: dict):
+    acts = g.log.activities
+    df, rev = g.df, g.df.transpose(1, 0, 2)
+    score = (df - rev) / (df + rev + 1.0)
+    return [f"{a}=>{b}" for a in acts for b in acts], score.reshape(-1, g.n)
+
+
+def _activity_count(g: _Grid, params: dict):
+    counts = _counts(g.bucket, g.table.activity, len(g.log.activities), g.n)
+    return [""], (counts > 0).sum(axis=0, keepdims=True).astype(float)
+
+
+def _service_time(g: _Grid, params: dict):
+    service = g.table.service_s
+    rows = np.flatnonzero(~np.isnan(service))
+    if not len(rows):
+        g.warnings.append("no start/complete pairs found; service_time rows will be all zero")
+    return list(g.log.activities), g.per_activity(rows, service[rows])
+
+
+def _sojourn(g: _Grid, params: dict):
+    t = g.table
+    rows = np.flatnonzero(t.prev >= 0)
+    waits = (t.offset_us[rows] - t.offset_us[t.prev[rows]]) / 1e6
+    return list(g.log.activities), g.per_activity(rows, waits)
+
+
+def _case_ends(g: _Grid) -> tuple[np.ndarray, np.ndarray]:
+    t = g.table
+    return g.bucket[t.case_end], t.case_duration_s[t.case[t.case_end]]
+
+
+def _case_duration(g: _Grid, params: dict):
+    bucket, durations = _case_ends(g)
+    return [""], _reduce(bucket, 0, durations, 1, g.n, fmean)
+
+
+def _overtime(g: _Grid, params: dict):
+    if "bound_seconds" not in params:
+        raise ConfigInvalid("performance:overtime requires a bound in seconds")
+    bucket, durations = _case_ends(g)
+    return [""], _counts(bucket[durations > float(params["bound_seconds"])], 0, 1, g.n)
+
+
+def _agg(g: _Grid, params: dict, resource_only: bool = False):
+    attr = params["attr"]
+    aggs = tuple(params.get("aggregators") or AGGREGATORS)
+    bad = [a for a in aggs if a not in AGGREGATORS]
+    if bad:
+        raise ConfigInvalid(f"unknown aggregator(s) {bad}")
+    level, value_type = _resolve_attr(g.log, attr)
+    for agg in aggs:
+        if agg != "count" and value_type != NUMBER:
             raise TypeMismatch(
-                f"threshold on attribute {self.attr!r} requires numeric values, got {value_type}",
-                attr=self.attr,
-                aggregator="threshold",
+                f"aggregator {agg!r} requires numeric values, but attribute "
+                f"{attr!r} holds {value_type}",
+                attr=attr,
+                aggregator=agg,
             )
-        self.labels = (self._label(f"{self.attr}>{_trim(self.bound)}"),)
-
-    def column(self, events, interval):
-        if self.level == "event":
-            values = [e.attrs[self.attr] for e in events if self.attr in e.attrs]
-        else:
-            seen: dict[str, None] = {}
-            for e in events:
-                seen.setdefault(e.case_id)
-            values = [
-                self.log.cases[cid].attrs[self.attr]
-                for cid in seen
-                if self.attr in self.log.cases[cid].attrs
-            ]
-        return [float(sum(1 for v in values if v > self.bound))]
+    bucket, values = g.attr_values(attr, level, resource_only)
+    rows = [
+        _counts(bucket, 0, 1, g.n) if agg == "count"
+        else _reduce(bucket, 0, values, 1, g.n, _REDUCERS[agg])
+        for agg in aggs
+    ]
+    return [f"{attr}.{agg}" for agg in aggs], np.vstack(rows)
 
 
-class _EventCount(BoundExtractor):
-    perspective = "data"
-    name = "event_count"
-
-    def __init__(self, log, index, params):
-        super().__init__(log, index, params)
-        self.labels = (self._label(),)
-
-    def column(self, events, interval):
-        return [float(len(events))]
+def _resource_agg(g: _Grid, params: dict):
+    return _agg(g, params, resource_only=True)
 
 
-class _CaseCount(BoundExtractor):
-    """Number of cases with at least one event in the interval."""
-
-    perspective = "data"
-    name = "case_count"
-
-    def __init__(self, log, index, params):
-        super().__init__(log, index, params)
-        self.labels = (self._label(),)
-
-    def column(self, events, interval):
-        return [float(len({e.case_id for e in events}))]
-
-
-class _Workload(BoundExtractor):
-    """Events handled per resource, plus active and total workload rows."""
-
-    perspective = "resource"
-    name = "workload"
-
-    def __init__(self, log, index, params):
-        super().__init__(log, index, params)
-        if not log.resources:
-            self.warnings.append("log carries no resource information; workload rows are zero")
-        self.labels = tuple(self._label(r) for r in log.resources) + (
-            self._label(extractor="active_resources"),
-            self._label(extractor="total_workload"),
+def _threshold(g: _Grid, params: dict):
+    attr, bound = params["attr"], float(params["bound"])
+    level, value_type = _resolve_attr(g.log, attr)
+    if value_type != NUMBER:
+        raise TypeMismatch(
+            f"threshold on attribute {attr!r} requires numeric values, got {value_type}",
+            attr=attr,
+            aggregator="threshold",
         )
-
-    def column(self, events, interval):
-        counts = {r: 0 for r in self.log.resources}
-        total = 0
-        for e in events:
-            if e.resource is not None:
-                counts[e.resource] += 1
-                total += 1
-        active = sum(1 for r in self.log.resources if counts[r] > 0)
-        return [float(counts[r]) for r in self.log.resources] + [float(active), float(total)]
+    bucket, values = g.attr_values(attr, level, resource_only=False)
+    return [f"{attr}>{_trim(bound)}"], _counts(bucket[values > bound], 0, 1, g.n)
 
 
-class _ResourceAggregate(_Aggregate):
-    """Attribute aggregation restricted to events that carry a resource."""
-
-    perspective = "resource"
-
-    def _scope(self, events):
-        return [e for e in events if e.resource is not None]
+def _event_count(g: _Grid, params: dict):
+    return [""], _counts(g.bucket, 0, 1, g.n)
 
 
-_EXTRACTOR_CLASSES: dict[tuple[str, str], type[BoundExtractor]] = {
-    ("control_flow", "df"): _DirectlyFollows,
-    ("control_flow", "alpha"): _AlphaRelations,
-    ("control_flow", "dependency"): _DependencyScore,
-    ("control_flow", "activity_count"): _ActivityCount,
-    ("performance", "service_time"): _ServiceTime,
-    ("performance", "case_duration"): _CaseDuration,
-    ("performance", "overtime"): _Overtime,
-    ("performance", "sojourn"): _Sojourn,
-    ("data", "agg"): _Aggregate,
-    ("data", "threshold"): _ThresholdCount,
-    ("data", "event_count"): _EventCount,
-    ("data", "case_count"): _CaseCount,
-    ("resource", "workload"): _Workload,
-    ("resource", "agg"): _ResourceAggregate,
+def _case_count(g: _Grid, params: dict):
+    return [""], _counts(g.bucket[g.case_heads], 0, 1, g.n)
+
+
+def _workload(g: _Grid, params: dict):
+    resources = g.log.resources
+    if not resources:
+        g.warnings.append("log carries no resource information; workload rows are zero")
+    res = g.table.resource
+    counts = _counts(g.bucket[res >= 0], res[res >= 0], len(resources), g.n)
+    keys = [*resources, ("active_resources", ""), ("total_workload", "")]
+    return keys, np.vstack([counts, (counts > 0).sum(axis=0), counts.sum(axis=0)])
+
+
+#: Extractor functions: (grid, params) -> (row keys, rows). A key given as
+#: a pair names a row under another extractor name.
+_EXTRACTORS = {
+    ("control_flow", "df"): _df,
+    ("control_flow", "alpha"): _alpha,
+    ("control_flow", "dependency"): _dependency,
+    ("control_flow", "activity_count"): _activity_count,
+    ("performance", "service_time"): _service_time,
+    ("performance", "case_duration"): _case_duration,
+    ("performance", "overtime"): _overtime,
+    ("performance", "sojourn"): _sojourn,
+    ("data", "agg"): _agg,
+    ("data", "threshold"): _threshold,
+    ("data", "event_count"): _event_count,
+    ("data", "case_count"): _case_count,
+    ("resource", "workload"): _workload,
+    ("resource", "agg"): _resource_agg,
 }
-
-
-def make_extractor(
-    spec: ExtractorSpec, log: EventLog, index: LogIndex | None = None
-) -> BoundExtractor:
-    """Validate a spec against the log's catalogs and bind it."""
-    cls = _EXTRACTOR_CLASSES.get((spec.perspective, spec.name))
-    if cls is None:
-        raise ConfigInvalid(f"unknown extractor {spec.perspective}:{spec.name}")
-    return cls(log, index if index is not None else LogIndex(log), spec.params)
 
 
 @dataclass
@@ -748,14 +563,21 @@ class TimeSeriesMatrix:
 def build_time_series(
     log: EventLog, intervals: IntervalSequence, specs: list[ExtractorSpec]
 ) -> TimeSeriesMatrix:
-    """Run every extractor over every interval and stack the rows."""
+    """Run every extractor over the log's event table and stack the rows."""
     if not specs:
         raise ConfigInvalid("at least one extractor is required")
-    index = LogIndex(log)
-    extractors = [make_extractor(spec, log, index) for spec in specs]
+    grid = _Grid(log, intervals)
     labels: list[FeatureLabel] = []
-    for ext in extractors:
-        labels.extend(ext.labels)
+    blocks: list[np.ndarray] = []
+    for spec in specs:
+        extract = _EXTRACTORS.get((spec.perspective, spec.name))
+        if extract is None:
+            raise ConfigInvalid(f"unknown extractor {spec.perspective}:{spec.name}")
+        keys, rows = extract(grid, spec.params)
+        for key in keys:
+            name, key = key if isinstance(key, tuple) else (spec.name, key)
+            labels.append(FeatureLabel(spec.perspective, name, key))
+        blocks.append(rows)
     rendered = [str(label) for label in labels]
     if len(set(rendered)) != len(rendered):
         dupes = sorted({s for s in rendered if rendered.count(s) > 1})
@@ -763,26 +585,11 @@ def build_time_series(
     if not labels:
         raise NoExtractableFeatures("the configured extractors produce no feature rows")
 
-    buckets: list[list[Event]] = [[] for _ in range(len(intervals))]
-    for e in log.iter_events():
-        idx = intervals.index_of_us(log.offset_us(e.timestamp))
-        if idx is not None:
-            buckets[idx].append(e)
-
-    values = np.empty((len(labels), len(intervals)), dtype=float)
-    row = 0
-    for ext in extractors:
-        width = len(ext.labels)
-        for j, interval in enumerate(intervals):
-            col = ext.column(buckets[j], interval)
-            values[row:row + width, j] = col
-        row += width
+    values = np.vstack(blocks)
     if not np.isfinite(values).all():
         raise NoExtractableFeatures("extraction produced non-finite values")
-
-    warnings = tuple(w for ext in extractors for w in ext.warnings)
     return TimeSeriesMatrix(
-        values=values, labels=tuple(labels), intervals=intervals, warnings=warnings
+        values=values, labels=tuple(labels), intervals=intervals, warnings=tuple(grid.warnings)
     )
 
 

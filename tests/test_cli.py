@@ -142,6 +142,26 @@ def test_non_finite_number_is_ingestion_error_naming_row(tmp_path, capsys):
     assert "cannot ingest" in err and "row 3" in err and "'age'" in err
 
 
+def test_non_finite_case_attribute_in_a_later_row_exits_3(tmp_path, capsys):
+    log_path = tmp_path / "budget.csv"
+    log_path.write_text(
+        "case,activity,timestamp,budget\n"
+        "c1,a,2021-06-15 12:30,1\n"
+        "c1,b,2021-06-15 14:40,nan\n"
+        "c2,a,2021-06-15 16:30,2\n",
+        encoding="utf-8",
+    )
+    mapping = CsvMapping(case_id_col="case", activity_col="activity",
+                         timestamp_col="timestamp", case_attr_cols=("budget",))
+    rc = main(["analyze", "--log", str(log_path),
+               "--mapping", str(_write_mapping(tmp_path, mapping)),
+               "--interval", "1h", "--primary", "control_flow:df",
+               "--secondary", "data:agg(budget)", "--out", str(tmp_path / "r.json")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "row 3" in err and "'budget'" in err
+
+
 def test_too_few_intervals_is_analysis_error(tmp_path, capsys):
     log_path, mapping_path = _generate_small(tmp_path, days=30)
     rc = main(["analyze", "--log", str(log_path), "--mapping", str(mapping_path),

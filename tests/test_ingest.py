@@ -170,6 +170,55 @@ def test_parse_csv_case_attrs_from_first_row(tmp_path):
     assert log.cases["c1"].attrs == {"region": "north"}
 
 
+BUDGET_MAPPING = CsvMapping(
+    case_id_col="case", activity_col="activity", timestamp_col="timestamp",
+    case_attr_cols=("budget",),
+)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_parse_csv_non_finite_case_attribute_in_a_later_row(tmp_path, bad):
+    # the first row of the case is clean; the bad cell is in its second row
+    text = (
+        "case,activity,timestamp,budget\n"
+        "c1,a,2021-06-15 12:30,1\n"
+        f"c1,b,2021-06-15 12:40,{bad}\n"
+    )
+    with pytest.raises(NonFiniteNumber) as err:
+        parse_csv(_write(tmp_path, "log.csv", text), BUDGET_MAPPING)
+    assert (err.value.row, err.value.key) == (3, "budget")
+    assert "row 3" in str(err.value)
+
+
+def test_parse_csv_case_attr_conflicts_are_counted(tmp_path):
+    text = (
+        "case,activity,timestamp,budget\n"
+        "c1,a,2021-06-15 12:30,1\n"
+        "c1,b,2021-06-15 12:40,2\n"
+        "c1,c,2021-06-15 12:50,1.0\n"
+        "c2,a,2021-06-15 13:00,\n"
+        "c2,b,2021-06-15 13:10,5\n"
+        "c2,c,2021-06-15 13:20,6\n"
+    )
+    log = parse_csv(_write(tmp_path, "log.csv", text), BUDGET_MAPPING)
+    # the first value a case's rows give wins; 2 and 6 conflict with it
+    assert log.cases["c1"].attrs == {"budget": 1.0}
+    assert log.cases["c2"].attrs == {"budget": 5.0}
+    assert log.meta == {"case_attr_conflicts": 2}
+
+
+def test_parse_csv_consistent_case_attrs_leave_meta_empty(tmp_path):
+    text = (
+        "case,activity,timestamp,budget\n"
+        "c1,a,2021-06-15 12:30,1\n"
+        "c1,b,2021-06-15 12:40,1\n"
+        "c1,c,2021-06-15 12:50,\n"
+    )
+    log = parse_csv(_write(tmp_path, "log.csv", text), BUDGET_MAPPING)
+    assert log.cases["c1"].attrs == {"budget": 1.0}
+    assert log.meta == {}
+
+
 def test_mapping_requires_distinct_mandatory_columns():
     with pytest.raises(ConfigInvalid):
         CsvMapping(case_id_col="x", activity_col="x", timestamp_col="ts")

@@ -241,3 +241,28 @@ def test_change_point_timestamps_line_up(drifted_report):
     for entry, cp in zip(d["primary_cps"], report.primary_cps):
         expected = report.intervals.start_datetime(cp.index - 1)
         assert entry["interval_start_iso"] == expected.isoformat()
+
+
+def test_run_builds_the_event_table_once_for_both_roles(monkeypatch):
+    import driftscope.model
+    import driftscope.pipeline
+
+    tables, series = [], []
+    real_table = driftscope.model.EventTable
+    real_series = driftscope.pipeline.build_time_series
+
+    class CountingTable(real_table):
+        def __init__(self, log):
+            tables.append(log)
+            super().__init__(log)
+
+    def counting_series(*args, **kwargs):
+        series.append(args)
+        return real_series(*args, **kwargs)
+
+    monkeypatch.setattr(driftscope.model, "EventTable", CountingTable)
+    monkeypatch.setattr(driftscope.pipeline, "build_time_series", counting_series)
+    log = generate(GeneratorConfig(days=30, cases_per_day=5, drift_day=15))
+    run(log, _drift_config())
+    assert len(series) == 2  # one matrix per role, through the module attribute
+    assert tables == [log]

@@ -26,8 +26,6 @@ from driftscope.timeseries import (
     TimeInterval,
     build_intervals,
     build_time_series,
-    make_extractor,
-    LogIndex,
     parse_spec,
     render_spec,
     write_series_csv,
@@ -35,6 +33,7 @@ from driftscope.timeseries import (
 from driftscope.timeseries import TimeSeriesMatrix
 
 from conftest import build_log, select_events
+from extractor_oracle import LogIndex, make_extractor, oracle_time_series
 
 BASE = datetime(2021, 6, 15, 12, 0)
 
@@ -650,3 +649,125 @@ def test_property_extraction_is_deterministic(log, minutes):
     second = build_time_series(log, seq, specs)
     assert np.array_equal(first.values, second.values)
     assert first.labels == second.labels
+
+
+# ------------------------------------------------- columnar path vs oracle
+
+ORACLE_SPECS = [
+    "control_flow:df",
+    "control_flow:alpha",
+    "control_flow:dependency",
+    "control_flow:activity_count",
+    "performance:service_time",
+    "performance:case_duration",
+    "performance:overtime(1800)",
+    "performance:sojourn",
+    "data:agg(v)",
+    "data:agg(tag,count)",
+    "data:agg(amount)",
+    "data:agg(region,count)",
+    "data:threshold(v,0.5)",
+    "data:threshold(amount,0)",
+    "data:event_count",
+    "data:case_count",
+    "resource:workload",
+    "resource:agg(v)",
+    "resource:agg(amount,sum,count)",
+    "resource:agg(tag,count)",
+]
+
+_NUMBERS = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    st.integers(-1000, 1000),
+    st.sampled_from([0.1, 0.2, 0.3, 1e16, -1e16, 1.0]),  # rounding-sensitive sums
+)
+
+
+@st.composite
+def rich_logs(draw):
+    """Logs with lifecycles, missing resources, and numeric and text attributes."""
+    base = datetime(2021, 6, 15, 8, 0)
+    rows, case_attrs = [], {}
+    for c in range(draw(st.integers(1, 5))):
+        offsets = sorted(
+            draw(st.lists(st.integers(0, 720 * 60_000_000), min_size=1, max_size=8))
+        )
+        for off in offsets:
+            attrs = {}
+            if draw(st.booleans()):
+                attrs["v"] = draw(_NUMBERS)
+            if draw(st.booleans()):
+                attrs["tag"] = draw(st.sampled_from(["x", "y"]))
+            rows.append(
+                (
+                    f"c{c}",
+                    draw(st.sampled_from(["a", "b", "c"])),
+                    base + timedelta(microseconds=off),
+                    draw(st.sampled_from([None, "r1", "r2"])),
+                    draw(st.sampled_from([None, "start", "complete"])),
+                    attrs,
+                )
+            )
+        attrs = {}
+        if draw(st.booleans()):
+            attrs["amount"] = draw(_NUMBERS)
+        if draw(st.booleans()):
+            attrs["region"] = draw(st.sampled_from(["north", "south"]))
+        case_attrs[f"c{c}"] = attrs
+    return build_log(rows, case_attrs=case_attrs)
+
+
+def _extract(build, log, seq, spec):
+    try:
+        return build(log, seq, [parse_spec(spec)])
+    except (NoExtractableFeatures, TypeMismatch, ConfigInvalid) as exc:
+        return type(exc)
+
+
+def _assert_matches_oracle(log, seq):
+    for spec in ORACLE_SPECS:
+        got = _extract(build_time_series, log, seq, spec)
+        want = _extract(oracle_time_series, log, seq, spec)
+        if isinstance(want, type):
+            assert got is want, spec
+            continue
+        assert got.values.dtype == want.values.dtype and got.values.shape == want.values.shape
+        assert np.array_equal(got.values, want.values), spec
+        assert got.values.tobytes() == want.values.tobytes(), spec
+        assert got.labels == want.labels, spec
+        assert got.warnings == want.warnings, spec
+
+
+@settings(max_examples=120, deadline=None)
+@given(rich_logs(), st.integers(5, 240), st.integers(-1, 2))
+def test_property_columns_equal_per_event_oracle(log, minutes, extra):
+    """Bit for bit, for every extractor: intervals from the span (the last
+    event always lies in the dropped tail) or a regular sequence that may
+    end in empty intervals."""
+    seq = _intervals_or_skip(log, minutes)
+    _assert_matches_oracle(log, seq)
+    longer = IntervalSequence.regular(max(1, len(seq) + extra), minutes * 60, origin=log.origin)
+    _assert_matches_oracle(log, longer)
+
+
+def test_columns_equal_oracle_on_lifecycle_fixture():
+    # an unmatched start, overlapping starts, a complete without a start, an
+    # event without a resource, an empty middle interval and a dropped tail
+    log = build_log(
+        [
+            ("c1", "a", _at(0), "r1", "start", {"v": 0.1}),
+            ("c1", "a", _at(5), None, "start", {"v": 0.2, "tag": "x"}),
+            ("c1", "a", _at(9), "r2", "complete", {"v": 0.3}),
+            ("c1", "b", _at(12), "r2", "complete"),
+            ("c2", "b", _at(14), "r1", "start", {"tag": "y"}),
+            ("c2", "a", _at(40), "r1", "complete", {"v": 1e16}),
+            ("c2", "a", _at(41), None, None, {"v": -1e16}),
+            ("c1", "c", _at(71), "r1", "complete"),
+        ],
+        case_attrs={"c1": {"amount": 2.5, "region": "north"}, "c2": {"region": "south"}},
+    )
+    seq = build_intervals(log, 1200, min_intervals=1)  # [0,20) [20,40) [40,60) min, tail
+    assert len(seq) == 3 and seq.dropped_tail_us > 0
+    _assert_matches_oracle(log, seq)
+    matrix = build_time_series(log, seq, [parse_spec("data:event_count")])
+    assert matrix.values.tolist() == [[5.0, 0.0, 2.0]]
