@@ -1,19 +1,37 @@
 """Cause-effect testing between drifts via Granger causality.
 
-Given a change point in each of two series over the same interval sequence,
-the lag between them is simply the index difference. The Granger test then
-asks whether the lagged history of the candidate cause improves a linear
-autoregression of the effect series: a restricted ordinary least squares
-model predicts each value from an intercept and its own last ``k`` values,
-the unrestricted model adds the last ``k`` values of the cause, and the
-improvement in residual sum of squares is scored with an F-statistic
+The lag between a secondary drift and a later primary drift is their index
+difference. The Granger test asks whether the cause's last ``k`` values
+improve an autoregression of the effect on an intercept and its own last
+``k`` values, scored by
 
     F = ((SSR_r - SSR_u) / k) / (SSR_u / (n_eff - p_u))
 
-with ``n_eff = n - k`` usable observations and ``p_u = 2k + 1`` parameters
-in the unrestricted model. Constant series and rank-deficient designs are
-rejected as degenerate instead of being forced through a pseudo-inverse,
-so a flat feature can never masquerade as a perfect cause.
+with ``n_eff = n - k`` observations and ``p_u = 2k + 1`` parameters.
+
+One kernel, :func:`_f_statistics`, prices every (effect row, cause row) pair
+at one lag; :func:`granger_test` is its 1 x 1 case. The restricted design
+``Z = [1, y lags] = Q R`` is factorised once per effect row, and ``SSR_r``
+comes from ``r = t - Q Q^T t``. By Frisch-Waugh-Lovell (Lovell, JASA 1963)
+the unrestricted residual is that of ``r`` on the cause lags residualised
+against ``Z``, ``X~ = X - Q Q^T X``: one batched QR ``X~ = Q_x R_x`` gives
+each ``SSR_u`` from the explicit residual ``r - Q_x Q_x^T r``, so a perfect
+fit falls under the noise floor. Causes go ``_CHUNK`` rows at a time, so the
+working set is a few ``_CHUNK x n_eff x k`` blocks however many rows there
+are.
+
+A pair is degenerate, and skipped rather than forced through a
+pseudo-inverse, when the effect is constant, the cause is constant over
+``x[:n-1]`` (the values its lags use), or a design is rank deficient: its
+condition number, the ratio of its extreme singular values, reaches
+``1 / (eps n_eff)``, NumPy's default cutoff for a least-squares rank. The
+restricted factor's is computed directly. The unrestricted
+factor ``[[R, Q^T X], [0, R_x]]`` has an inverse built from ``R^-1`` and
+``R_x^-1``, and its Frobenius condition number lies between one and ``p_u``
+times the singular-value one, so only a pair inside that bracket needs an
+SVD of its ``p_u x p_u`` factor. The pivots ``|R_jj|`` alone would not do:
+the lags of a step can be singular to rounding with every pivot near 1% of
+its column's norm.
 """
 
 from __future__ import annotations
@@ -23,12 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fdist
-from .errors import (
-    ConfigInvalid,
-    DegenerateSeries,
-    IntervalMismatch,
-    NonPrecedingDrift,
-)
+from .errors import ConfigInvalid, DegenerateSeries, IntervalMismatch, NonPrecedingDrift
 from .changepoint import ChangePoint
 from .timeseries import FeatureLabel, IntervalSequence, TimeSeriesMatrix
 
@@ -81,19 +94,84 @@ def min_series_length(lag: int) -> int:
     return 3 * lag + 3
 
 
-def _lag_columns(series: np.ndarray, k: int) -> np.ndarray:
-    n = series.shape[0]
-    return np.column_stack([series[k - j - 1: n - j - 1] for j in range(k)])
+#: Cause rows residualised and factorised in one batched QR.
+_CHUNK = 32
+
+_EPS = np.finfo(float).eps
 
 
-def _ols_ssr(design: np.ndarray, target: np.ndarray) -> float:
-    coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    if rank < design.shape[1]:
-        raise DegenerateSeries(
-            "regression design is rank deficient (collinear or constant lags)"
+def _lag_blocks(rows: np.ndarray, k: int) -> np.ndarray:
+    """View with ``out[r, t, j] = rows[r, k - 1 - j + t]``: lag ``j + 1`` of target ``t``."""
+    windows = np.lib.stride_tricks.sliding_window_view(rows[:, :-1], rows.shape[1] - k, axis=1)
+    return windows[:, ::-1].transpose(0, 2, 1)
+
+
+def _sq(a: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix in a stack."""
+    return (a * a).sum(axis=(-2, -1))
+
+
+def _f_statistics(effects: np.ndarray, causes: np.ndarray, k: int) -> np.ndarray:
+    """F-statistic of every (effect row, cause row) pair at lag ``k``; NaN if degenerate."""
+    if not (np.isfinite(effects).all() and np.isfinite(causes).all()):
+        raise ValueError("series must be finite")
+    if k < 1:
+        raise ValueError(f"lag must be at least 1, got {k}")
+    n = effects.shape[1]
+    if n < min_series_length(k):
+        raise ValueError(
+            f"series of length {n} is too short for lag {k}; "
+            f"need at least {min_series_length(k)} observations"
         )
-    residuals = target - design @ coef
-    return float(residuals @ residuals)
+    n_eff = n - k
+    p_u = 2 * k + 1
+    dof_den = n_eff - p_u
+    max_cond = 1.0 / (_EPS * n_eff)
+    f = np.full((effects.shape[0], causes.shape[0]), np.nan)
+    live = np.flatnonzero(np.ptp(causes[:, :-1], axis=1) > 0.0)
+    cause_lags = _lag_blocks(causes[live], k)
+    design = np.ones((n_eff, k + 1))
+    # A near-singular factor has a huge or non-finite inverse; its condition
+    # test then fails (inf and NaN compare false), which marks it degenerate.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i in np.flatnonzero(np.ptp(effects, axis=1) > 0.0):
+            design[:, 1:] = _lag_blocks(effects[i: i + 1], k)[0]
+            q, r = np.linalg.qr(design)
+            if not np.linalg.cond(r) < max_cond:
+                continue
+            r_inv = np.linalg.inv(r)
+            design_sq, inv_sq = _sq(design), _sq(r_inv)
+            target = effects[i, k:]
+            resid = target - q @ (q.T @ target)
+            ssr_r = resid @ resid
+            # Residual sums at the level of floating-point noise are treated as
+            # zero; otherwise an exactly self-predicting effect series would turn
+            # rounding error into an arbitrarily large F-statistic.
+            noise_floor = max(((target - target.mean()) ** 2).sum(), 1.0) * 1e-12
+            for start in range(0, len(live), _CHUNK):
+                x = cause_lags[start: start + _CHUNK]
+                coupling = q.T @ x
+                qx, rx = np.linalg.qr(x - q @ coupling)
+                u = resid - (qx @ (resid @ qx)[..., None])[..., 0]
+                ssr_u = np.einsum("ct,ct->c", u, u)
+                gain = (ssr_r - ssr_u) / k
+                stat = np.maximum(gain / (np.maximum(ssr_u, noise_floor) / dof_den), 0.0)
+                # A perfect unrestricted fit: infinite evidence if it improved anything.
+                stat[ssr_u < noise_floor] = 0.0 if ssr_r < noise_floor else np.inf
+                # The unrestricted factor [[r, coupling], [0, rx]] has the inverse
+                # [[r_inv, -r_inv @ coupling @ rx_inv], [0, rx_inv]].
+                singular = ~np.diagonal(rx, axis1=1, axis2=2).all(axis=1)
+                rx_inv = np.linalg.inv(np.where(singular[:, None, None], np.eye(k), rx))
+                rx_inv[singular] = np.nan
+                cond_f = np.sqrt((design_sq + _sq(x))
+                                 * (inv_sq + _sq(r_inv @ coupling @ rx_inv) + _sq(rx_inv)))
+                full_rank = cond_f < max_cond
+                for b in np.flatnonzero((cond_f >= max_cond) & (cond_f < p_u * max_cond)):
+                    factor = np.block([[r, coupling[b]], [np.zeros((k, k + 1)), rx[b]]])
+                    full_rank[b] = np.linalg.cond(factor) < max_cond
+                stat[~full_rank] = np.nan
+                f[i, live[start: start + _CHUNK]] = stat
+    return f
 
 
 def granger_test(effect, cause, lag: int) -> GrangerResult:
@@ -102,47 +180,14 @@ def granger_test(effect, cause, lag: int) -> GrangerResult:
     x = np.asarray(cause, dtype=float)
     if y.ndim != 1 or x.ndim != 1 or y.shape != x.shape:
         raise ValueError("effect and cause must be 1-d series of equal length")
-    if not (np.isfinite(y).all() and np.isfinite(x).all()):
-        raise ValueError("series must be finite")
     k = int(lag)
-    n = y.shape[0]
-    if k < 1:
-        raise ValueError(f"lag must be at least 1, got {k}")
-    if n - k < 2 * k + 3:
-        raise ValueError(
-            f"series of length {n} is too short for lag {k}; "
-            f"need at least {min_series_length(k)} observations"
-        )
-    n_eff = n - k
-    p_u = 2 * k + 1
-    dof_den = n_eff - p_u
-
-    if np.ptp(y) == 0.0:
-        raise DegenerateSeries("effect series is constant over the regression window")
-    if np.ptp(x[: n - 1]) == 0.0:
-        raise DegenerateSeries("cause series is constant over the regression window")
-
-    target = y[k:]
-    intercept = np.ones((n_eff, 1))
-    y_lags = _lag_columns(y, k)
-    x_lags = _lag_columns(x, k)
-    ssr_restricted = _ols_ssr(np.hstack([intercept, y_lags]), target)
-    ssr_unrestricted = _ols_ssr(np.hstack([intercept, y_lags, x_lags]), target)
-
-    # Residual sums at the level of floating-point noise are treated as zero;
-    # otherwise an exactly self-predicting effect series would turn rounding
-    # error into an arbitrarily large F-statistic.
-    noise_floor = max(float(((target - target.mean()) ** 2).sum()), 1.0) * 1e-12
-    if ssr_unrestricted < noise_floor:
-        # A perfect unrestricted fit: infinite evidence if it improved anything.
-        f_stat = 0.0 if ssr_restricted < noise_floor else float("inf")
-    else:
-        f_stat = ((ssr_restricted - ssr_unrestricted) / k) / (ssr_unrestricted / dof_den)
-        if f_stat < 0.0:
-            f_stat = 0.0
-    p_value = fdist.f_sf(f_stat, k, dof_den)
+    f_stat = float(_f_statistics(y[None], x[None], k)[0, 0])
+    if np.isnan(f_stat):
+        raise DegenerateSeries("constant series or rank-deficient design (collinear lags)")
+    n_eff = y.shape[0] - k
+    dof_den = n_eff - (2 * k + 1)
     return GrangerResult(
-        p_value=p_value,
+        p_value=fdist.f_sf(f_stat, k, dof_den),
         f_statistic=f_stat,
         effective_sample_size=n_eff,
         lag=k,
@@ -158,10 +203,7 @@ def check_p_threshold(p_threshold: float) -> None:
 
 
 def test_all_pairs(
-    primary: TimeSeriesMatrix,
-    secondary: TimeSeriesMatrix,
-    lag: int,
-    p_threshold: float,
+    primary: TimeSeriesMatrix, secondary: TimeSeriesMatrix, lag: int, p_threshold: float
 ) -> PairScan:
     """Score every (secondary row, primary row) pair at one lag.
 
@@ -174,24 +216,13 @@ def test_all_pairs(
             "primary and secondary series were built over different interval sequences"
         )
     check_p_threshold(p_threshold)
+    k = int(lag)
+    f = _f_statistics(primary.values, secondary.values, k)
+    dof_den = primary.n_intervals - k - (2 * k + 1)
     pairs: list[CausalPair] = []
-    tested = 0
-    skipped = 0
-    for i in range(primary.n_features):
-        for j in range(secondary.n_features):
-            tested += 1
-            try:
-                result = granger_test(primary.values[i], secondary.values[j], lag)
-            except DegenerateSeries:
-                skipped += 1
-                continue
-            if result.p_value < p_threshold:
-                pairs.append(
-                    CausalPair(
-                        primary_label=primary.labels[i],
-                        secondary_label=secondary.labels[j],
-                        p_value=result.p_value,
-                    )
-                )
+    for i, j in zip(*np.nonzero(~np.isnan(f))):
+        p_value = fdist.f_sf(float(f[i, j]), k, dof_den)
+        if p_value < p_threshold:
+            pairs.append(CausalPair(primary.labels[i], secondary.labels[j], p_value))
     pairs.sort(key=lambda p: (p.p_value, str(p.primary_label), str(p.secondary_label)))
-    return PairScan(pairs=tuple(pairs), tested=tested, skipped_degenerate=skipped)
+    return PairScan(pairs=tuple(pairs), tested=f.size, skipped_degenerate=int(np.isnan(f).sum()))

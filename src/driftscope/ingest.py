@@ -21,7 +21,7 @@ import csv
 import json
 import math
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -92,26 +92,11 @@ class CsvMapping:
         return cols
 
     def to_dict(self) -> dict:
-        return {
-            "case_id_col": self.case_id_col,
-            "activity_col": self.activity_col,
-            "timestamp_col": self.timestamp_col,
-            "timestamp_format": self.timestamp_format,
-            "resource_col": self.resource_col,
-            "lifecycle_col": self.lifecycle_col,
-            "event_attr_cols": list(self.event_attr_cols),
-            "case_attr_cols": list(self.case_attr_cols),
-            "delimiter": self.delimiter,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "CsvMapping":
-        known = {
-            "case_id_col", "activity_col", "timestamp_col", "timestamp_format",
-            "resource_col", "lifecycle_col", "event_attr_cols", "case_attr_cols",
-            "delimiter",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigInvalid(f"unknown mapping keys: {sorted(unknown)}")
         try:

@@ -148,9 +148,11 @@ class EventTable:
       which that complete closes; NaN for every other event.
     * ``case_end``: the row is its case's last event; ``case_duration_s``
       holds each case's first-to-last span, indexed by case code.
-    * ``event_attrs`` / ``case_attrs``: per attribute key, a presence mask
-      and a float64 column (per event or per case), NaN where absent.
-      Non-numeric values are stored as codes of their distinct values.
+    * :meth:`attr_column`: per attribute key, a presence mask and a float64
+      column (per event or per case), NaN where absent; non-numeric values
+      are stored as codes of their distinct values. Each column is built the
+      first time it is asked for, so attributes no extractor reads cost
+      nothing.
 
     Durations are integer-microsecond differences divided by 1e6, which is
     exactly ``timedelta.total_seconds()``.
@@ -179,14 +181,26 @@ class EventTable:
         self.case_duration_s = np.zeros(len(cases))
         self.case_duration_s[sizes > 0] = (self.offset_us[last] - self.offset_us[first]) / 1e6
         self.service_s = self._service_seconds(events, len(log.activities))
-        event_maps = [e.attrs for e in events]
-        self.event_attrs = {
-            key: _column(event_maps, key, kind) for key, kind in log.event_attr_types.items()
-        }
-        case_maps = [case.attrs for case in cases]
-        self.case_attrs = {
-            key: _column(case_maps, key, kind) for key, kind in log.case_attr_types.items()
-        }
+        self._cases = cases
+        self._types = {"event": log.event_attr_types, "case": log.case_attr_types}
+        self._columns: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
+
+    def attr_column(self, key: str, level: str) -> tuple[np.ndarray, np.ndarray]:
+        """Presence mask and values of an ``"event"`` or ``"case"`` attribute, built once."""
+        if (key, level) not in self._columns:
+            if level == "event":
+                maps = [e.attrs for case in self._cases for e in case.events]
+            else:
+                maps = [case.attrs for case in self._cases]
+            present = np.fromiter((key in m for m in maps), bool, len(maps))
+            if self._types[level][key] == NUMBER:
+                values = (m.get(key, np.nan) for m in maps)
+            else:
+                codes: dict = {}
+                values = (codes.setdefault(m[key], len(codes)) if key in m else np.nan
+                          for m in maps)
+            self._columns[key, level] = present, np.fromiter(values, np.float64, len(maps))
+        return self._columns[key, level]
 
     def _service_seconds(self, events: list[Event], n_activities: int) -> np.ndarray:
         # Walk the start/complete rows grouped by (case, activity), in time
@@ -213,17 +227,6 @@ class EventTable:
         out = np.full(len(events), np.nan)
         out[completes] = (self.offset_us[completes] - self.offset_us[starts]) / 1e6
         return out
-
-
-def _column(attr_maps: list[dict], key: str, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Presence mask and float64 values of one attribute across ``attr_maps``."""
-    present = np.fromiter((key in m for m in attr_maps), bool, len(attr_maps))
-    if kind == NUMBER:
-        values = (m.get(key, np.nan) for m in attr_maps)
-    else:
-        codes: dict = {}
-        values = (codes.setdefault(m[key], len(codes)) if key in m else np.nan for m in attr_maps)
-    return present, np.fromiter(values, np.float64, len(attr_maps))
 
 
 def sort_and_validate(log: EventLog) -> EventLog:

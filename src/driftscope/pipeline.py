@@ -17,12 +17,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .causality import (
-    CausalPair,
-    PairScan,
-    check_p_threshold,
-    lag_between,
-    min_series_length,
-    test_all_pairs,
+    CausalPair, PairScan, check_p_threshold, lag_between, min_series_length, test_all_pairs,
 )
 from .changepoint import (
     ChangePoint,
@@ -169,21 +164,10 @@ def run(log: EventLog, config: FrameworkConfig) -> AnalysisReport:
     primary = build_time_series(log, intervals, config.primary_specs)
     secondary = build_time_series(log, intervals, config.secondary_specs)
 
-    primary_cps = pelt(
-        primary,
-        PeltConfig(
-            beta=config.beta_primary,
-            min_segment_length=config.min_segment_length,
-            normalize=config.normalization,
-        ),
-    )
-    secondary_cps = pelt(
-        secondary,
-        PeltConfig(
-            beta=config.beta_secondary,
-            min_segment_length=config.min_segment_length,
-            normalize=config.normalization,
-        ),
+    primary_cps, secondary_cps = (
+        pelt(matrix, PeltConfig(beta=beta, min_segment_length=config.min_segment_length,
+                                normalize=config.normalization))
+        for matrix, beta in ((primary, config.beta_primary), (secondary, config.beta_secondary))
     )
 
     n = len(intervals)
@@ -219,6 +203,9 @@ def run(log: EventLog, config: FrameworkConfig) -> AnalysisReport:
         "tool_version": __version__,
         "normalization": config.normalization,
         "dropped_tail_seconds": intervals.dropped_tail_us / 1e6,
+        "dropped_tail_events": int(
+            (log.table.offset_us >= len(intervals) * intervals.duration_us).sum()
+        ),
         "catalog": {
             "activities": len(log.activities),
             "resources": len(log.resources),

@@ -47,12 +47,7 @@ from statistics import fmean
 
 import numpy as np
 
-from .errors import (
-    ConfigInvalid,
-    NoExtractableFeatures,
-    SpanTooShort,
-    TypeMismatch,
-)
+from .errors import ConfigInvalid, NoExtractableFeatures, SpanTooShort, TypeMismatch
 from .model import NUMBER, EventLog
 
 US_PER_SECOND = 1_000_000
@@ -348,11 +343,10 @@ class _Grid:
         interval, taken at its first event there.
         """
         t = self.table
+        present, values = t.attr_column(attr, level)
         if level == "event":
-            present, values = t.event_attrs[attr]
             rows = present & (t.resource >= 0) if resource_only else present
             return self.bucket[rows], values[rows]
-        present, values = t.case_attrs[attr]
         rows = self.case_heads & present[t.case]
         return self.bucket[rows], values[t.case[rows]]
 

@@ -194,6 +194,16 @@ def test_metadata_describes_the_run(drifted_log, drifted_report):
     assert meta["ingestion_notes"] == {}
 
 
+def test_dropped_tail_events_are_counted():
+    log = generate(GeneratorConfig(days=60, drift_day=30))
+    report = run(log, _drift_config())
+    first, last = log.span
+    tail_start = first + (last - first) // timedelta(days=1) * timedelta(days=1)
+    expected = sum(1 for e in log.iter_events() if e.timestamp >= tail_start)
+    assert 0 < expected < log.event_count
+    assert report.metadata["dropped_tail_events"] == expected
+
+
 def test_short_log_propagates_span_error():
     log = _daily_log(1, lambda d: "b")
     with pytest.raises(SpanTooShort):
