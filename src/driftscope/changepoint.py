@@ -19,7 +19,7 @@ maximum absolute value (default), ``zscore`` standardises each row, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as _replace
+from dataclasses import InitVar, dataclass, replace as _replace
 
 import numpy as np
 
@@ -29,31 +29,31 @@ from .timeseries import TimeInterval, TimeSeriesMatrix
 NORMALIZATIONS = ("max_abs", "zscore", "none")
 
 
-def check_penalty(beta: float, name: str = "penalty") -> None:
-    """Raise :class:`ConfigInvalid` for a negative per-segment penalty."""
-    if beta < 0:
-        raise ConfigInvalid(f"{name} must be non-negative, got {beta}")
-
-
-def check_min_segment_length(length: int) -> None:
-    """Raise :class:`ConfigInvalid` for a minimum segment length below 1."""
-    if length < 1:
-        raise ConfigInvalid(f"minimum segment length must be at least 1, got {length}")
+def _check_normalization(mode: str) -> None:
+    if mode not in NORMALIZATIONS:
+        raise ConfigInvalid(f"unknown normalization {mode!r}; expected one of {NORMALIZATIONS}")
 
 
 @dataclass(frozen=True)
 class PeltConfig:
+    """Penalty, minimum segment length and normalization of one PELT run.
+
+    ``beta_name`` is the name the penalty goes by in error messages.
+    """
+
     beta: float
     min_segment_length: int = 2
     normalize: str = "max_abs"
+    beta_name: InitVar[str] = "beta"
 
-    def __post_init__(self):
-        check_penalty(self.beta)
-        check_min_segment_length(self.min_segment_length)
-        if self.normalize not in NORMALIZATIONS:
+    def __post_init__(self, beta_name: str):
+        if self.beta < 0:
+            raise ConfigInvalid(f"{beta_name} must be non-negative, got {self.beta}")
+        if self.min_segment_length < 1:
             raise ConfigInvalid(
-                f"unknown normalization {self.normalize!r}; expected one of {NORMALIZATIONS}"
+                f"minimum segment length must be at least 1, got {self.min_segment_length}"
             )
+        _check_normalization(self.normalize)
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,7 @@ def normalize(matrix: TimeSeriesMatrix, mode: str = "max_abs") -> TimeSeriesMatr
     ``max_abs`` leaves all-zero rows untouched; ``zscore`` maps
     zero-variance rows to all zeros so they cannot attract change points.
     """
-    if mode not in NORMALIZATIONS:
-        raise ConfigInvalid(f"unknown normalization {mode!r}; expected one of {NORMALIZATIONS}")
+    _check_normalization(mode)
     values = np.array(matrix.values, dtype=float, copy=True)
     if mode == "max_abs":
         scale = np.abs(values).max(axis=1)

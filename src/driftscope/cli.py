@@ -53,6 +53,11 @@ GENERATOR_MAPPING = CsvMapping(
     event_attr_cols=("age",),
 )
 
+#: ``GeneratorConfig`` fields that ``generate`` takes as flags, typed and
+#: defaulted as the fields are.
+_GENERATOR_FLAGS = ("seed", "days", "cases_per_day", "drift_day", "pre_age_mean",
+                    "post_age_mean", "age_stddev", "email_max_age", "phone_max_age")
+
 
 def parse_duration(text: str) -> float:
     """Parse ``<count><unit>`` durations like 30s, 15m, 6h, 1d, 2w into seconds."""
@@ -167,14 +172,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     event_log = _load_log(args)
     intervals = build_intervals(event_log, parse_duration(args.interval))
     matrix = build_time_series(event_log, intervals, _specs(args.spec))
-    result = pelt(
-        matrix,
-        PeltConfig(
-            beta=args.beta,
-            min_segment_length=args.min_segment,
-            normalize=args.normalize,
-        ),
-    )
+    result = pelt(matrix, PeltConfig(args.beta, args.min_segment, args.normalize))
     payload = [
         {
             "index": cp.index,
@@ -190,17 +188,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    config = GeneratorConfig(
-        seed=args.seed,
-        days=args.days,
-        cases_per_day=args.cases_per_day,
-        drift_day=args.drift_day,
-        pre_age_mean=args.pre_age_mean,
-        post_age_mean=args.post_age_mean,
-        age_stddev=args.age_stddev,
-        email_max_age=args.email_max_age,
-        phone_max_age=args.phone_max_age,
-    )
+    config = GeneratorConfig(**{name: getattr(args, name) for name in _GENERATOR_FLAGS})
     event_log = generate(config)
     if args.out_csv:
         write_csv(event_log, GENERATOR_MAPPING, args.out_csv)
@@ -239,12 +227,13 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="secondary extractor, e.g. data:agg(age) (repeatable)",
     )
-    analyze.add_argument("--beta-primary", type=float, default=3.0)
-    analyze.add_argument("--beta-secondary", type=float, default=1.5)
-    analyze.add_argument("--p-value", type=float, default=0.05,
+    analyze.add_argument("--beta-primary", type=float, default=FrameworkConfig.beta_primary)
+    analyze.add_argument("--beta-secondary", type=float, default=FrameworkConfig.beta_secondary)
+    analyze.add_argument("--p-value", type=float, default=FrameworkConfig.p_threshold,
                          help="significance threshold for causal pairs")
-    analyze.add_argument("--normalize", choices=NORMALIZATIONS, default="max_abs")
-    analyze.add_argument("--min-segment", type=int, default=2)
+    analyze.add_argument("--normalize", choices=NORMALIZATIONS,
+                         default=FrameworkConfig.normalization)
+    analyze.add_argument("--min-segment", type=int, default=FrameworkConfig.min_segment_length)
     analyze.add_argument("--out", required=True, help="path for the JSON report")
     analyze.set_defaults(handler=cmd_analyze)
 
@@ -263,22 +252,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(detect)
     detect.add_argument("--spec", action="append", required=True,
                         help="extractor to evaluate (repeatable)")
-    detect.add_argument("--beta", type=float, default=3.0)
-    detect.add_argument("--normalize", choices=NORMALIZATIONS, default="max_abs")
-    detect.add_argument("--min-segment", type=int, default=2)
+    detect.add_argument("--beta", type=float, default=FrameworkConfig.beta_primary)
+    detect.add_argument("--normalize", choices=NORMALIZATIONS, default=PeltConfig.normalize)
+    detect.add_argument("--min-segment", type=int, default=PeltConfig.min_segment_length)
     detect.add_argument("--out", required=True, help="path for the JSON change-point list")
     detect.set_defaults(handler=cmd_detect)
 
     gen = sub.add_parser("generate", help="generate the synthetic insurance log")
-    gen.add_argument("--seed", type=int, default=1)
-    gen.add_argument("--days", type=int, default=260)
-    gen.add_argument("--cases-per-day", type=int, default=20)
-    gen.add_argument("--drift-day", type=int, default=130)
-    gen.add_argument("--pre-age-mean", type=float, default=50.0)
-    gen.add_argument("--post-age-mean", type=float, default=35.0)
-    gen.add_argument("--age-stddev", type=float, default=10.0)
-    gen.add_argument("--email-max-age", type=float, default=40.0)
-    gen.add_argument("--phone-max-age", type=float, default=60.0)
+    for name in _GENERATOR_FLAGS:
+        default = getattr(GeneratorConfig, name)
+        gen.add_argument(f"--{name.replace('_', '-')}", type=type(default), default=default)
     gen.add_argument("--out-csv", help="write the log as CSV")
     gen.add_argument("--out-xes", help="write the log as XES")
     gen.add_argument("--write-mapping", help="write the CSV column mapping as JSON")

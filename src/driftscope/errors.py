@@ -55,6 +55,18 @@ class NonFiniteNumber(IngestionError):
         self.key, self.row = key, row
 
 
+class EmptyValue(IngestionError):
+    """A CSV row leaves its case id or activity cell empty; ``row`` is its CSV row."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
+
+
+class DuplicateTraceId(IngestionError):
+    """Two XES traces carry the same case identifier."""
+
+
 class EmptyLog(IngestionError):
     """The input contains no events at all."""
 
@@ -64,7 +76,7 @@ class XmlMalformed(IngestionError):
 
 
 class MissingConceptName(IngestionError):
-    """An XES event lacks the mandatory concept:name attribute."""
+    """An XES event lacks the mandatory concept:name attribute or leaves it empty."""
 
     def __init__(self, message: str, event_index: int | None = None):
         super().__init__(message)

@@ -27,7 +27,9 @@ from pathlib import Path
 
 from .errors import (
     ConfigInvalid,
+    DuplicateTraceId,
     EmptyLog,
+    EmptyValue,
     MissingColumn,
     MissingConceptName,
     NonFiniteNumber,
@@ -179,7 +181,8 @@ def parse_csv(path: str | Path, mapping: CsvMapping) -> EventLog:
     """Read a delimited file into a validated event log.
 
     One event is created per data row, with identifiers synthesised from the
-    row number; duplicate rows are therefore accepted. Empty cells count as
+    row number; duplicate rows are therefore accepted. An empty case id or
+    activity cell raises :class:`EmptyValue`; other empty cells count as
     missing values and are skipped. A case attribute takes the first value
     its case's rows give it; every row's cell is still converted and
     checked, and each later value that differs is counted in
@@ -218,6 +221,9 @@ def parse_csv(path: str | Path, mapping: CsvMapping) -> EventLog:
     for rownum, row in enumerate(rows, start=2):
         case_id = cell(row, mapping.case_id_col)
         activity = cell(row, mapping.activity_col)
+        if not (case_id and activity):
+            col = mapping.activity_col if case_id else mapping.case_id_col
+            raise EmptyValue(f"row {rownum}: column {col!r} is empty", row=rownum)
         ts = parse_timestamp(
             cell(row, mapping.timestamp_col), mapping.timestamp_format, row=rownum
         )
@@ -302,7 +308,8 @@ def parse_xes(path: str | Path) -> EventLog:
     """Read an XES document into a validated event log.
 
     Trace-level attributes become case attributes, with concept:name as the
-    case identifier (synthesised when absent). Lifecycle transitions other
+    case identifier (synthesised when absent); two traces with one identifier
+    raise :class:`DuplicateTraceId`. Lifecycle transitions other
     than start/complete are dropped and counted in ``log.meta``. Unknown
     attribute keys are preserved with their declared types.
     """
@@ -317,17 +324,24 @@ def parse_xes(path: str | Path) -> EventLog:
     log = EventLog()
     ignored_lifecycle = 0
     event_index = 0
+    trace_of: dict[str, int] = {}
     for tracenum, trace in enumerate(_children(root, "trace"), start=1):
         case_attrs = _parse_attrs(trace, f"trace {tracenum}", skip_events=True)
         case_id = case_attrs.pop(KEY_ACTIVITY, None) or f"trace_{tracenum}"
         case = Case(case_id=str(case_id), attrs=case_attrs)
+        first = trace_of.setdefault(case.case_id, tracenum)
+        if first != tracenum:
+            raise DuplicateTraceId(
+                f"traces {first} and {tracenum} share the case id {case.case_id!r}"
+            )
         for ev in _children(trace, "event"):
             event_index += 1
             attrs = _parse_attrs(ev, f"event #{event_index}", skip_events=False)
             activity = attrs.pop(KEY_ACTIVITY, None)
-            if activity is None:
+            if activity is None or not str(activity).strip():
                 raise MissingConceptName(
-                    f"event #{event_index} (trace {case.case_id!r}) has no concept:name",
+                    f"event #{event_index} (trace {case.case_id!r}) has "
+                    + ("no" if activity is None else "an empty") + " concept:name",
                     event_index=event_index,
                 )
             ts = attrs.pop(KEY_TIMESTAMP, None)

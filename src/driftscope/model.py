@@ -149,10 +149,10 @@ class EventTable:
     * ``case_end``: the row is its case's last event; ``case_duration_s``
       holds each case's first-to-last span, indexed by case code.
     * :meth:`attr_column`: per attribute key, a presence mask and a float64
-      column (per event or per case), NaN where absent; non-numeric values
-      are stored as codes of their distinct values. Each column is built the
-      first time it is asked for, so attributes no extractor reads cost
-      nothing.
+      column (per event or per case), NaN where absent. A non-numeric
+      attribute's column is all NaN: the only aggregation over it is
+      ``count``, which reads the mask. Each column is built the first time it
+      is asked for, so attributes no extractor reads cost nothing.
 
     Durations are integer-microsecond differences divided by 1e6, which is
     exactly ``timedelta.total_seconds()``.
@@ -194,12 +194,10 @@ class EventTable:
                 maps = [case.attrs for case in self._cases]
             present = np.fromiter((key in m for m in maps), bool, len(maps))
             if self._types[level][key] == NUMBER:
-                values = (m.get(key, np.nan) for m in maps)
+                values = np.fromiter((m.get(key, np.nan) for m in maps), np.float64, len(maps))
             else:
-                codes: dict = {}
-                values = (codes.setdefault(m[key], len(codes)) if key in m else np.nan
-                          for m in maps)
-            self._columns[key, level] = present, np.fromiter(values, np.float64, len(maps))
+                values = np.full(len(maps), np.nan)
+            self._columns[key, level] = present, values
         return self._columns[key, level]
 
     def _service_seconds(self, events: list[Event], n_activities: int) -> np.ndarray:

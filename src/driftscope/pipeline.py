@@ -19,14 +19,7 @@ from . import __version__
 from .causality import (
     CausalPair, PairScan, check_p_threshold, lag_between, min_series_length, test_all_pairs,
 )
-from .changepoint import (
-    ChangePoint,
-    ChangePointSet,
-    PeltConfig,
-    check_min_segment_length,
-    check_penalty,
-    pelt,
-)
+from .changepoint import ChangePoint, ChangePointSet, PeltConfig, pelt
 from .errors import ConfigInvalid, NonPrecedingDrift
 from .model import EventLog
 from .timeseries import (
@@ -50,8 +43,8 @@ class FrameworkConfig:
     beta_primary: float = 3.0
     beta_secondary: float = 1.5
     p_threshold: float = 0.05
-    normalization: str = "max_abs"
-    min_segment_length: int = 2
+    normalization: str = PeltConfig.normalize
+    min_segment_length: int = PeltConfig.min_segment_length
 
     def __post_init__(self):
         self.primary_specs = list(self.primary_specs)
@@ -66,10 +59,14 @@ class FrameworkConfig:
                     f"{role} extractors must share one perspective, got {sorted(perspectives)}"
                 )
         duration_to_us(self.interval_seconds)
-        check_penalty(self.beta_primary, "beta_primary")
-        check_penalty(self.beta_secondary, "beta_secondary")
         check_p_threshold(self.p_threshold)
-        check_min_segment_length(self.min_segment_length)
+        self.pelt_config("primary")
+        self.pelt_config("secondary")
+
+    def pelt_config(self, role: str) -> PeltConfig:
+        """PELT settings of the ``primary`` or ``secondary`` series."""
+        return PeltConfig(getattr(self, f"beta_{role}"), self.min_segment_length,
+                          self.normalization, f"beta_{role}")
 
     @property
     def primary_perspective(self) -> str:
@@ -164,11 +161,8 @@ def run(log: EventLog, config: FrameworkConfig) -> AnalysisReport:
     primary = build_time_series(log, intervals, config.primary_specs)
     secondary = build_time_series(log, intervals, config.secondary_specs)
 
-    primary_cps, secondary_cps = (
-        pelt(matrix, PeltConfig(beta=beta, min_segment_length=config.min_segment_length,
-                                normalize=config.normalization))
-        for matrix, beta in ((primary, config.beta_primary), (secondary, config.beta_secondary))
-    )
+    primary_cps = pelt(primary, config.pelt_config("primary"))
+    secondary_cps = pelt(secondary, config.pelt_config("secondary"))
 
     n = len(intervals)
     explanations: list[DriftExplanation] = []
@@ -203,9 +197,7 @@ def run(log: EventLog, config: FrameworkConfig) -> AnalysisReport:
         "tool_version": __version__,
         "normalization": config.normalization,
         "dropped_tail_seconds": intervals.dropped_tail_us / 1e6,
-        "dropped_tail_events": int(
-            (log.table.offset_us >= len(intervals) * intervals.duration_us).sum()
-        ),
+        "dropped_tail_events": int((intervals.bucket(log.table.offset_us) == n).sum()),
         "catalog": {
             "activities": len(log.activities),
             "resources": len(log.resources),

@@ -52,8 +52,6 @@ from .model import NUMBER, EventLog
 
 US_PER_SECOND = 1_000_000
 
-PERSPECTIVES = ("control_flow", "performance", "data", "resource")
-
 #: Aggregator names accepted by the data/resource aggregation extractors,
 #: in canonical row order.
 AGGREGATORS = ("min", "max", "sum", "avg", "count", "set_avg")
@@ -82,32 +80,45 @@ class TimeInterval:
 
 @dataclass(frozen=True)
 class IntervalSequence:
-    """Contiguous equal-length intervals anchored at a reference instant."""
+    """``count`` contiguous intervals of ``duration_us`` from ``origin``.
 
-    intervals: tuple[TimeInterval, ...]
-    duration_us: int
+    The :class:`TimeInterval` objects are built on the first read of
+    :attr:`intervals` (or iteration). ``dropped_tail_us`` is the part of the
+    log span after the last interval.
+    """
+
     origin: datetime
+    duration_us: int
+    count: int
     dropped_tail_us: int = 0
 
     def __len__(self) -> int:
-        return len(self.intervals)
+        return self.count
 
     def __iter__(self):
         return iter(self.intervals)
+
+    @cached_property
+    def intervals(self) -> tuple[TimeInterval, ...]:
+        d, n = self.duration_us, self.count
+        return tuple(map(TimeInterval, range(0, n * d, d), range(d, (n + 1) * d, d)))
 
     @property
     def duration_seconds(self) -> float:
         return self.duration_us / US_PER_SECOND
 
+    def bucket(self, offset_us):
+        """Interval index of each offset (scalar or array); ``count`` for the dropped tail."""
+        return np.minimum(offset_us // self.duration_us, self.count)
+
     def index_of_us(self, offset_us: int) -> int | None:
         """0-based interval index containing the offset, or None outside."""
-        if offset_us < 0:
-            return None
-        idx = offset_us // self.duration_us
-        return int(idx) if idx < len(self.intervals) else None
+        idx = int(self.bucket(offset_us))
+        return idx if 0 <= idx < self.count else None
 
     def start_datetime(self, index0: int) -> datetime:
-        return self.origin + timedelta(microseconds=self.intervals[index0].start_us)
+        """Start instant of interval ``index0``; ``count`` gives the end of the last one."""
+        return self.origin + timedelta(microseconds=index0 * self.duration_us)
 
     @classmethod
     def regular(
@@ -117,9 +128,7 @@ class IntervalSequence:
         origin: datetime = datetime(2020, 1, 6),
     ) -> "IntervalSequence":
         """Build a synthetic sequence of ``n`` intervals (test/tool helper)."""
-        dur_us = duration_to_us(duration_seconds)
-        ivs = tuple(TimeInterval(i * dur_us, (i + 1) * dur_us) for i in range(n))
-        return cls(intervals=ivs, duration_us=dur_us, origin=origin)
+        return cls(origin, duration_to_us(duration_seconds), n)
 
 
 def duration_to_us(duration_seconds: float) -> int:
@@ -148,13 +157,7 @@ def build_intervals(
             f"log spans {span_us / US_PER_SECOND:.0f}s: only {n} full interval(s) "
             f"of {duration_seconds:.0f}s fit, {min_intervals} required"
         )
-    intervals = tuple(TimeInterval(i * dur_us, (i + 1) * dur_us) for i in range(n))
-    return IntervalSequence(
-        intervals=intervals,
-        duration_us=dur_us,
-        origin=log.origin,
-        dropped_tail_us=span_us - n * dur_us,
-    )
+    return IntervalSequence(log.origin, dur_us, n, dropped_tail_us=span_us - n * dur_us)
 
 
 @dataclass(frozen=True)
@@ -171,24 +174,50 @@ class FeatureLabel:
         return f"{self.perspective}:{self.extractor}"
 
 
-@dataclass
+#: Parameters per extractor name; every other extractor takes none.
+_PARAMS = {"agg": ("attr", "aggregators"), "threshold": ("attr", "bound"),
+           "overtime": ("bound_seconds",)}
+
+
+@dataclass(frozen=True)
 class ExtractorSpec:
-    """A parsed extractor request: perspective, extractor name, parameters."""
+    """An extractor request: perspective, extractor name, parameters.
+
+    Construction checks the pair against the extractor catalogue and the
+    parameters against what that extractor takes.
+    """
 
     perspective: str
     name: str
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        where = f"{self.perspective}:{self.name}"
+        names = [n for p, n in _EXTRACTORS if p == self.perspective]
+        if not names:
+            known = ", ".join(dict.fromkeys(p for p, _ in _EXTRACTORS))
+            raise ConfigInvalid(
+                f"unknown perspective {self.perspective!r}; expected one of {known}"
+            )
+        if self.name not in names:
+            import difflib
+
+            hint = difflib.get_close_matches(self.name, names, n=1)
+            raise ConfigInvalid(
+                f"unknown extractor {where}"
+                + (f" (did you mean {self.perspective}:{hint[0]}?)" if hint else "")
+            )
+        wanted = _PARAMS.get(self.name, ())
+        if sorted(self.params) != sorted(wanted):
+            raise ConfigInvalid(
+                f"{where} takes parameters {list(wanted)}, got {sorted(self.params)}"
+            )
+        aggs = self.params.get("aggregators", AGGREGATORS)
+        if not aggs or any(a not in AGGREGATORS for a in aggs):
+            raise ConfigInvalid(f"{where}: aggregators must be among {AGGREGATORS}, got {aggs}")
+
 
 _SPEC_RE = re.compile(r"^\s*(\w+)\s*:\s*(\w+)\s*(?:\(([^)]*)\))?\s*$")
-
-#: Extractor names per perspective, used for validation and suggestions.
-KNOWN_EXTRACTORS = {
-    "control_flow": ("df", "alpha", "dependency", "activity_count"),
-    "performance": ("service_time", "case_duration", "overtime", "sojourn"),
-    "data": ("agg", "threshold", "event_count", "case_count"),
-    "resource": ("workload", "agg"),
-}
 
 
 def parse_spec(text: str) -> ExtractorSpec:
@@ -196,38 +225,17 @@ def parse_spec(text: str) -> ExtractorSpec:
     m = _SPEC_RE.match(text)
     if not m:
         raise ConfigInvalid(f"cannot parse extractor expression {text!r}")
-    perspective, name, argtext = m.group(1), m.group(2), m.group(3)
-    if perspective not in KNOWN_EXTRACTORS:
-        raise ConfigInvalid(
-            f"unknown perspective {perspective!r}; expected one of {', '.join(PERSPECTIVES)}"
-        )
-    if name not in KNOWN_EXTRACTORS[perspective]:
-        hint = _closest(name, KNOWN_EXTRACTORS[perspective])
-        raise ConfigInvalid(
-            f"unknown extractor {perspective}:{name}"
-            + (f" (did you mean {perspective}:{hint}?)" if hint else "")
-        )
-    args = [a.strip() for a in argtext.split(",")] if argtext else []
-    args = [a for a in args if a]
-    return ExtractorSpec(perspective, name, _build_params(perspective, name, args, text))
+    perspective, name, argtext = m.groups()
+    args = [a.strip() for a in (argtext or "").split(",") if a.strip()]
+    return ExtractorSpec(perspective, name, _build_params(name, args, text))
 
 
-def _closest(name: str, options: tuple[str, ...]) -> str | None:
-    import difflib
-
-    matches = difflib.get_close_matches(name, options, n=1)
-    return matches[0] if matches else None
-
-
-def _build_params(perspective: str, name: str, args: list[str], text: str) -> dict:
+def _build_params(name: str, args: list[str], text: str) -> dict:
+    """The parameters the text arguments spell; :class:`ExtractorSpec` checks them."""
     if name == "agg":
         if not args:
             raise ConfigInvalid(f"{text!r}: agg requires an attribute name")
-        aggs = tuple(args[1:]) or AGGREGATORS
-        bad = [a for a in aggs if a not in AGGREGATORS]
-        if bad:
-            raise ConfigInvalid(f"{text!r}: unknown aggregator(s) {bad}")
-        return {"attr": args[0], "aggregators": aggs}
+        return {"attr": args[0], "aggregators": tuple(args[1:]) or AGGREGATORS}
     if name == "threshold":
         if len(args) != 2:
             raise ConfigInvalid(f"{text!r}: threshold requires (attribute, bound)")
@@ -237,7 +245,7 @@ def _build_params(perspective: str, name: str, args: list[str], text: str) -> di
             raise ConfigInvalid(f"{text!r}: overtime requires a duration bound in seconds")
         return {"bound_seconds": _number(args[0], text)}
     if args:
-        raise ConfigInvalid(f"{text!r}: {perspective}:{name} takes no arguments")
+        raise ConfigInvalid(f"{text!r}: only {', '.join(_PARAMS)} take arguments")
     return {}
 
 
@@ -311,7 +319,7 @@ class _Grid:
         self.log = log
         self.table = log.table
         self.n = len(intervals)
-        self.bucket = np.minimum(self.table.offset_us // intervals.duration_us, self.n)
+        self.bucket = intervals.bucket(self.table.offset_us)
         self.warnings: list[str] = []
 
     @cached_property
@@ -420,18 +428,12 @@ def _case_duration(g: _Grid, params: dict):
 
 
 def _overtime(g: _Grid, params: dict):
-    if "bound_seconds" not in params:
-        raise ConfigInvalid("performance:overtime requires a bound in seconds")
     bucket, durations = _case_ends(g)
     return [""], _counts(bucket[durations > float(params["bound_seconds"])], 0, 1, g.n)
 
 
 def _agg(g: _Grid, params: dict, resource_only: bool = False):
-    attr = params["attr"]
-    aggs = tuple(params.get("aggregators") or AGGREGATORS)
-    bad = [a for a in aggs if a not in AGGREGATORS]
-    if bad:
-        raise ConfigInvalid(f"unknown aggregator(s) {bad}")
+    attr, aggs = params["attr"], params["aggregators"]
     level, value_type = _resolve_attr(g.log, attr)
     for agg in aggs:
         if agg != "count" and value_type != NUMBER:
@@ -485,8 +487,9 @@ def _workload(g: _Grid, params: dict):
     return keys, np.vstack([counts, (counts > 0).sum(axis=0), counts.sum(axis=0)])
 
 
-#: Extractor functions: (grid, params) -> (row keys, rows). A key given as
-#: a pair names a row under another extractor name.
+#: The extractor catalogue: (perspective, name) -> function of (grid, params)
+#: giving (row keys, rows). A key given as a pair names a row under another
+#: extractor name. :class:`ExtractorSpec` accepts exactly these pairs.
 _EXTRACTORS = {
     ("control_flow", "df"): _df,
     ("control_flow", "alpha"): _alpha,
@@ -564,10 +567,7 @@ def build_time_series(
     labels: list[FeatureLabel] = []
     blocks: list[np.ndarray] = []
     for spec in specs:
-        extract = _EXTRACTORS.get((spec.perspective, spec.name))
-        if extract is None:
-            raise ConfigInvalid(f"unknown extractor {spec.perspective}:{spec.name}")
-        keys, rows = extract(grid, spec.params)
+        keys, rows = _EXTRACTORS[spec.perspective, spec.name](grid, spec.params)
         for key in keys:
             name, key = key if isinstance(key, tuple) else (spec.name, key)
             labels.append(FeatureLabel(spec.perspective, name, key))
@@ -594,11 +594,9 @@ def write_series_csv(matrix: TimeSeriesMatrix, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = _csv.writer(fh)
         writer.writerow(["interval_start", "interval_end"] + matrix.label_strings())
-        origin = matrix.intervals.origin
-        for j, interval in enumerate(matrix.intervals):
-            start = origin + timedelta(microseconds=interval.start_us)
-            end = origin + timedelta(microseconds=interval.end_us)
+        seq = matrix.intervals
+        for j in range(len(seq)):
             writer.writerow(
-                [start.isoformat(), end.isoformat()]
+                [seq.start_datetime(j).isoformat(), seq.start_datetime(j + 1).isoformat()]
                 + [repr(float(v)) for v in matrix.values[:, j]]
             )

@@ -162,6 +162,22 @@ def test_non_finite_case_attribute_in_a_later_row_exits_3(tmp_path, capsys):
     assert "row 3" in err and "'budget'" in err
 
 
+def test_empty_activity_cell_is_ingestion_error_naming_row(tmp_path, capsys):
+    log_path = tmp_path / "log.csv"
+    log_path.write_text(
+        "case,activity,timestamp\n1,a,2021-06-15 12:30\n1,,2021-06-15 13:30\n",
+        encoding="utf-8",
+    )
+    mapping = CsvMapping(case_id_col="case", activity_col="activity", timestamp_col="timestamp")
+    rc = main(["analyze", "--log", str(log_path),
+               "--mapping", str(_write_mapping(tmp_path, mapping)),
+               "--interval", "1h", "--primary", "control_flow:df",
+               "--secondary", "data:event_count", "--out", str(tmp_path / "r.json")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "row 3" in err and "'activity'" in err
+
+
 def test_too_few_intervals_is_analysis_error(tmp_path, capsys):
     log_path, mapping_path = _generate_small(tmp_path, days=30)
     rc = main(["analyze", "--log", str(log_path), "--mapping", str(mapping_path),

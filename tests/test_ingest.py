@@ -6,7 +6,10 @@ import pytest
 
 from driftscope.errors import (
     ConfigInvalid,
+    DuplicateTraceId,
     EmptyLog,
+    EmptyValue,
+    IngestionError,
     MissingColumn,
     MissingConceptName,
     NonFiniteNumber,
@@ -76,6 +79,16 @@ def test_parse_csv_bad_timestamp_names_row(tmp_path):
     with pytest.raises(TimestampParse) as err:
         parse_csv(_write(tmp_path, "log.csv", text), _mapping_no_resource())
     assert err.value.row == 3
+
+
+@pytest.mark.parametrize("row,column", [("c1,,2021-06-15 12:40", "activity"),
+                                        (" ,b,2021-06-15 12:40", "case")])
+def test_parse_csv_empty_mandatory_value_names_row_and_column(tmp_path, row, column):
+    text = f"case,activity,timestamp\nc1,a,2021-06-15 12:30\n{row}\n"
+    with pytest.raises(EmptyValue) as err:
+        parse_csv(_write(tmp_path, "log.csv", text), _mapping_no_resource())
+    assert isinstance(err.value, IngestionError) and err.value.row == 3
+    assert "row 3" in str(err.value) and repr(column) in str(err.value)
 
 
 def test_parse_csv_custom_timestamp_format(tmp_path):
@@ -312,6 +325,32 @@ def test_parse_xes_missing_concept_name(tmp_path):
     with pytest.raises(MissingConceptName) as err:
         parse_xes(_write(tmp_path, "log.xes", doc))
     assert err.value.event_index == 1
+
+
+@pytest.mark.parametrize("name", ["", "  "])
+def test_parse_xes_empty_concept_name_names_event(tmp_path, name):
+    doc = XES_DOC.replace('value="submit"', f'value="{name}"')
+    with pytest.raises(MissingConceptName) as err:
+        parse_xes(_write(tmp_path, "log.xes", doc))
+    assert err.value.event_index == 2
+    assert "event #2" in str(err.value) and "empty concept:name" in str(err.value)
+
+
+def test_parse_xes_traces_sharing_a_name_are_rejected(tmp_path):
+    doc = """<?xml version="1.0"?><log>
+      <trace><string key="concept:name" value="A"/>
+        <event><string key="concept:name" value="a"/>
+               <date key="time:timestamp" value="2021-06-15T12:30:00"/></event>
+        <event><string key="concept:name" value="b"/>
+               <date key="time:timestamp" value="2021-06-15T12:40:00"/></event></trace>
+      <trace><string key="concept:name" value="A"/>
+        <event><string key="concept:name" value="a"/>
+               <date key="time:timestamp" value="2021-06-15T13:30:00"/></event></trace>
+    </log>"""
+    with pytest.raises(DuplicateTraceId) as err:
+        parse_xes(_write(tmp_path, "log.xes", doc))
+    assert isinstance(err.value, IngestionError)
+    assert "traces 1 and 2" in str(err.value) and "'A'" in str(err.value)
 
 
 def test_parse_xes_missing_timestamp_names_event(tmp_path):

@@ -9,7 +9,7 @@ import driftscope
 from driftscope.errors import ConfigInvalid, SpanTooShort
 from driftscope.pipeline import AnalysisReport, FrameworkConfig, run
 from driftscope.synthetic import GeneratorConfig, generate
-from driftscope.timeseries import parse_spec
+from driftscope.timeseries import ExtractorSpec, parse_spec
 
 from conftest import build_log
 
@@ -77,6 +77,39 @@ def test_config_numeric_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(ConfigInvalid):
         FrameworkConfig(**base)
+
+
+@pytest.mark.parametrize(
+    "kwargs,field",
+    [
+        ({"normalization": "bogus"}, "normalization"),
+        ({"beta_primary": -1.0}, "beta_primary"),
+        ({"beta_secondary": -0.5}, "beta_secondary"),
+    ],
+)
+def test_config_rejects_bad_pelt_settings_when_constructed(kwargs, field):
+    with pytest.raises(ConfigInvalid) as err:
+        FrameworkConfig(primary_specs=[parse_spec("control_flow:df")],
+                        secondary_specs=[parse_spec("data:event_count")],
+                        interval_seconds=3600, **kwargs)
+    assert field in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "perspective,name,params",
+    [
+        ("data", "agg", {"attr": "v", "aggregators": ("median",)}),
+        ("data", "agg", {"attr": "v", "aggregators": ()}),
+        ("data", "agg", {"attr": "v"}),
+        ("performance", "overtime", {}),
+        ("control_flow", "df", {"attr": "v"}),
+        ("data", "dff", {}),
+        ("bogus", "df", {}),
+    ],
+)
+def test_hand_built_invalid_spec_fails_when_constructed(perspective, name, params):
+    with pytest.raises(ConfigInvalid):
+        ExtractorSpec(perspective, name, params)
 
 
 def test_config_to_dict_renders_specs():
