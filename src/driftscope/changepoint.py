@@ -129,6 +129,7 @@ class SegmentCost:
         self._sumsq = np.zeros((n + 1, m))
         np.cumsum(values.T, axis=0, out=self._sum[1:])
         np.cumsum((values * values).T, axis=0, out=self._sumsq[1:])
+        self.total_ss = self._sumsq[n].sum()
         self._s = np.empty((self.CHUNK, m))
         self._q = np.empty((self.CHUNK, m))
         self._length = np.empty(self.CHUNK)
@@ -177,7 +178,11 @@ def pelt(matrix: TimeSeriesMatrix, cfg: PeltConfig) -> ChangePointSet:
     States are prefix lengths; a transition from state ``s`` to ``t`` closes
     the segment covering columns ``[s, t)``. A candidate ``s`` is discarded
     once ``F(s) + cost(s, t) > F(t)``: any later segmentation through ``s``
-    is then strictly beaten by one through ``t``. Because ``t`` itself is
+    is then strictly beaten by one through ``t``. The comparison allows a
+    rounding margin that scales with the matrix's sum of squares and the
+    penalties, so that two segmentations of equal cost, priced through
+    different prefix sums, can never prune the one the tie-break would
+    choose. Because ``t`` itself is
     only usable once segments of ``min_segment_length`` fit, the discard
     takes effect ``min_segment_length`` steps later, which keeps the search
     exact rather than merely approximate under the length constraint.
@@ -195,6 +200,9 @@ def pelt(matrix: TimeSeriesMatrix, cfg: PeltConfig) -> ChangePointSet:
     cost = SegmentCost(work.values)
     beta = cfg.beta
     never = n + msl + 1
+    # Every F and cost sums at most n segment prices and penalties, each
+    # within a few ulps of the total sum of squares plus n penalties.
+    margin = 8 * n * np.finfo(float).eps * (float(cost.total_ss) + n * beta)
 
     objective = np.zeros(n + 1)
     back = np.zeros(n + 1, dtype=np.int64)
@@ -233,7 +241,7 @@ def pelt(matrix: TimeSeriesMatrix, cfg: PeltConfig) -> ChangePointSet:
         objective[t] = best
         back[t] = chosen
 
-        np.greater(base[:live], best, out=flags[:live])
+        np.greater(base[:live], best + margin, out=flags[:live])
         if flags[:live].any():
             np.minimum(drop_at[:live], t + msl, out=drop_at[:live], where=flags[:live])
             next_drop = min(next_drop, t + msl)

@@ -63,6 +63,14 @@ class EmptyValue(IngestionError):
         self.row = row
 
 
+class RowUnreadable(IngestionError):
+    """A CSV record is not UTF-8 or cannot be split into fields; ``row`` is its row."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
+
+
 class DuplicateTraceId(IngestionError):
     """Two XES traces carry the same case identifier."""
 

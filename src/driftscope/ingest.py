@@ -1,29 +1,53 @@
 """Event-log ingestion and export: delimited text files and XES.
 
-The CSV reader understands RFC-4180 quoting with a configurable delimiter.
-A :class:`CsvMapping` names the columns holding the mandatory fields
-(case id, activity, timestamp) plus any optional ones, and may carry a
-``strftime`` pattern for non-ISO timestamps. Attribute columns are typed by
-inference over the whole file: a column where every non-empty value parses
-as a boolean/number/timestamp gets that type, otherwise it stays text.
-A number that parses to NaN or an infinity, in a CSV cell or an XES
-int/float attribute, is an error that names its row or event and column.
+Both parsers write straight into the columns of a
+:class:`~driftscope.model.LogColumns` and build no per-event objects. The
+CSV reader understands RFC-4180 quoting with a configurable delimiter; it
+reads all rows once and transposes them into columns. A :class:`CsvMapping`
+names the columns holding the mandatory fields (case id, activity,
+timestamp) plus any optional ones, and may carry a ``strftime`` pattern for
+non-ISO timestamps. Attribute columns are typed by inference over the whole
+file: a column where every non-empty value parses as a
+boolean/number/timestamp gets that type, otherwise it stays text.
 
-The XES reader covers the trace/event subset of IEEE 1849-2016 with
-string/date/int/float/boolean attributes. The standard keys concept:name,
-time:timestamp, org:resource and lifecycle:transition map onto the model
-fields; everything else is preserved as a typed attribute.
+Naive ISO-8601 stamps of the shapes in ``_iso_bytes`` are parsed in one
+numpy call; every other stamp (an offset, a ``Z``, other shapes, a
+``timestamp_format``) goes through :func:`parse_timestamp`, and both give
+the same microseconds. A number that parses to NaN or an infinity, in a CSV
+cell or an XES int/float attribute, is an error that names its row or event
+and column. A file that is not UTF-8 or that ``csv`` cannot split raises
+:class:`~driftscope.errors.RowUnreadable` naming the row. When several rows
+are bad, the error names the first one.
+
+The XES reader streams the document through expat and covers the
+trace/event subset of IEEE 1849-2016 with string/date/int/float/boolean
+attributes. The standard keys concept:name, time:timestamp, org:resource and
+lifecycle:transition map onto the model fields; everything else is kept as
+a typed attribute, and the last of two values of one key wins.
+
+``log.meta`` counts what ingest drops or reads with a caveat, each key only
+when non-zero: ``ignored_lifecycle_transitions``, ``case_attr_conflicts``
+(CSV), ``skipped_container_attributes`` (XES ``<list>``/``<container>``
+elements of traces and events) and ``naive_timestamps_among_aware`` (event
+stamps without an offset, read as UTC, in a log where other stamps have one).
 """
 
 from __future__ import annotations
 
 import csv
+import gc
+import io
 import json
 import math
+from itertools import compress
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, fields
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
+from functools import cache
 from pathlib import Path
+from xml.parsers import expat
+
+import numpy as np
 
 from .errors import (
     ConfigInvalid,
@@ -33,28 +57,32 @@ from .errors import (
     MissingColumn,
     MissingConceptName,
     NonFiniteNumber,
+    RowUnreadable,
     TimestampParse,
     XmlMalformed,
 )
 from .model import (
     BOOLEAN,
-    LIFECYCLE_COMPLETE,
-    LIFECYCLE_START,
+    EPOCH,
+    LIFECYCLES,
     NUMBER,
     TEXT,
     TIMESTAMP,
-    Case,
-    Event,
+    Attribute,
     EventLog,
+    LogColumns,
+    coded,
+    decode,
     sort_and_validate,
+    to_us,
 )
-
-_XES_NS = "{http://www.xes-standard.org/}"
 
 KEY_ACTIVITY = "concept:name"
 KEY_TIMESTAMP = "time:timestamp"
 KEY_RESOURCE = "org:resource"
 KEY_LIFECYCLE = "lifecycle:transition"
+
+_KINDS = {name: i for i, name in enumerate(LIFECYCLES) if name}
 
 
 @dataclass
@@ -117,64 +145,156 @@ class CsvMapping:
         return cls.from_dict(data)
 
 
+def _parse_datetime(text: str, fmt: str | None) -> datetime:
+    raw = text.strip()
+    if fmt is not None:
+        return datetime.strptime(raw, fmt)
+    # Python 3.10 fromisoformat rejects a trailing Z; map it by hand.
+    return datetime.fromisoformat(raw[:-1] + "+00:00" if raw.endswith(("Z", "z")) else raw)
+
+
 def parse_timestamp(text: str, fmt: str | None = None, row: int | None = None) -> datetime:
     """Parse one timestamp; timezone-aware values are normalised to naive UTC."""
-    raw = text.strip()
     try:
-        if fmt is not None:
-            ts = datetime.strptime(raw, fmt)
-        else:
-            # Python 3.10 fromisoformat rejects a trailing Z; map it by hand.
-            ts = datetime.fromisoformat(raw[:-1] + "+00:00" if raw.endswith(("Z", "z")) else raw)
-    except ValueError as exc:
-        where = "" if row is None else f"row {row}: "
-        raise TimestampParse(f"{where}cannot parse timestamp {text!r}: {exc}", row=row) from exc
-    if ts.tzinfo is not None:
-        ts = ts.astimezone(timezone.utc).replace(tzinfo=None)
-    return ts
+        ts = _parse_datetime(text, fmt)
+        return ts if ts.tzinfo is None else ts.astimezone(timezone.utc).replace(tzinfo=None)
+    except (ValueError, OverflowError) as exc:
+        raise _stamp_error("" if row is None else f"row {row}: ", text, exc, row) from exc
 
 
-def _parse_bool(text: str) -> bool | None:
-    low = text.strip().lower()
-    if low == "true":
-        return True
-    if low == "false":
-        return False
-    return None
+def _stamp_error(where: str, text: str, exc: Exception, row: int | None) -> TimestampParse:
+    return TimestampParse(f"{where}cannot parse timestamp {text!r}: {exc}", row=row)
 
 
-def _infer_column_type(values: list[str]) -> str:
-    """Infer one type for a CSV column from all its non-empty values."""
-    if not values:
-        return TEXT
-    if all(_parse_bool(v) is not None for v in values):
-        return BOOLEAN
+@cache
+def _iso_bytes() -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Naive ISO-8601 shapes that numpy parses as Python 3.10 and 3.11 do, by
+    length (``d`` a digit, ``T`` the separator ``T`` or a space): the lowest
+    byte allowed at each position and how far above it the allowed bytes reach."""
+    shapes = ("dddd-dd-dd", "dddd-dd-ddTdd:dd", "dddd-dd-ddTdd:dd:dd",
+              "dddd-dd-ddTdd:dd:dd.ddd", "dddd-dd-ddTdd:dd:dd.dddddd")
+    return {len(shape): (np.frombuffer(shape.replace("d", "0").ljust(26, "\0").encode(), np.uint8),
+                         np.array([9 * (ch == "d") for ch in shape.ljust(26)], np.uint8))
+            for shape in shapes}
+
+
+_EPOCH_UTC = EPOCH.replace(tzinfo=timezone.utc)
+_US = timedelta(microseconds=1)
+_US_MIN, _US_MAX = to_us(datetime.min), to_us(datetime.max)
+
+
+def _parse_stamps(texts: list[str], fmt: str | None = None):
+    """Microseconds since the epoch (naive UTC) of each text, whether it carried
+    an offset, and ``(index, error)`` of the first text that does not parse.
+
+    Texts of an :func:`_iso_bytes` shape (year 0 excepted) are parsed by numpy in
+    one call; the rest one by one, as :func:`parse_timestamp` does."""
+    n = len(texts)
+    us, aware, fast = np.zeros(n, np.int64), np.zeros(n, bool), np.zeros(n, bool)
+    if fmt is None and n:
+        lengths = np.fromiter(map(len, texts), np.intp, n)
+        try:
+            raw = np.array(texts, dtype="S26")
+        except UnicodeEncodeError:
+            raw = np.array([t.encode("ascii", "replace") for t in texts], dtype="S26")
+        for length, (low, span) in _iso_bytes().items():
+            rows = np.flatnonzero(lengths == length)
+            codes = raw[rows].view(np.uint8).reshape(len(rows), 26)
+            codes[codes == 32] = 84  # a space separates date and time as a T does
+            fast[rows] = ((codes - low) <= span).all(axis=1) & (codes[:, :4] != 48).any(axis=1)
+        try:
+            us[fast] = raw[fast].astype("datetime64[us]").view(np.int64)
+        except ValueError:  # a field out of range: the loop below names it
+            fast[:] = False
+    slow, values, offsets, bad = np.flatnonzero(~fast).tolist(), [], [], None
+    for i in slow:
+        try:
+            ts = _parse_datetime(texts[i], fmt)
+            offset = ts.tzinfo is not None
+            value = (ts - (_EPOCH_UTC if offset else EPOCH)) // _US
+            if not _US_MIN <= value <= _US_MAX:
+                raise OverflowError("date value out of range")
+        except (ValueError, OverflowError) as exc:
+            bad = (i, exc)
+            break
+        values.append(value)
+        offsets.append(offset)
+    us[slow[:len(values)]] = values
+    aware[slow[:len(values)]] = offsets
+    return us, aware, bad
+
+
+def _read_columns(path, mapping: CsvMapping) -> dict[str, list[str]]:
+    """The mapped columns' stripped cells, one list per column, header excluded."""
+    collecting = gc.isenabled()
+    gc.disable()  # millions of fresh row lists the collector need not walk
     try:
-        for v in values:
-            float(v)
-        return NUMBER
+        try:
+            with open(path, encoding="utf-8", newline="") as fh:
+                rows = list(csv.reader(fh, delimiter=mapping.delimiter))
+        except (UnicodeDecodeError, csv.Error):
+            raise _unreadable(path, mapping.delimiter) from None
+        if not rows:
+            raise EmptyLog(f"{path}: file is empty")
+        header = rows.pop(0)
+        colidx: dict[str, int] = {}
+        for i, name in enumerate(header):
+            colidx.setdefault(name.strip(), i)
+        for col in mapping.columns():
+            if col not in colidx:
+                raise MissingColumn(f"{path}: column {col!r} not found in header {header}")
+        if not rows:
+            raise EmptyLog(f"{path}: no data rows")
+        width = max(colidx[col] for col in mapping.columns()) + 1
+        if min(map(len, rows)) < width:
+            rows = [r + [""] * (width - len(r)) for r in rows]
+        transposed = list(zip(*rows))
+        del rows
+        return {col: list(map(str.strip, transposed[colidx[col]])) for col in mapping.columns()}
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _unreadable(path, delimiter: str) -> RowUnreadable:
+    """The error for the first record that is not UTF-8 or that ``csv`` cannot split."""
+    data = Path(path).read_bytes()
+    try:
+        text, problem = data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        # the last record of the text up to the bad byte is the one holding it
+        text = data[:exc.start].decode("utf-8") + "?"
+        problem = f"byte {data[exc.start]:#04x} is not UTF-8"
+    row = 0
+    try:
+        for row, _ in enumerate(csv.reader(io.StringIO(text, newline=""), delimiter=delimiter),
+                                start=1):
+            pass
+    except csv.Error as exc:
+        row, problem = row + 1, str(exc)
+    return RowUnreadable(f"{path}: row {row}: {problem}", row=row)
+
+
+def _csv_values(texts: list[str], col: str):
+    """The column's type, the rows with a value, their values, and the first
+    failure as ``(row index, error)``."""
+    rows = np.flatnonzero(np.fromiter(map(bool, texts), bool, len(texts)))
+    values = list(compress(texts, texts))
+    if all(v.lower() in ("true", "false") for v in values):
+        return BOOLEAN, rows, np.array([v.lower() == "true" for v in values], bool), None
+    try:
+        numbers = np.array([float(v) for v in values])
     except ValueError:
-        pass
-    try:
-        for v in values:
-            parse_timestamp(v)
-        return TIMESTAMP
-    except TimestampParse:
-        pass
-    return TEXT
-
-
-def _convert(value: str, ctype: str, row: int, col: str):
-    if ctype == BOOLEAN:
-        return _parse_bool(value)
-    if ctype == NUMBER:
-        number = float(value)
-        if not math.isfinite(number):
-            raise NonFiniteNumber(f"row {row}, column", col, value, row=row)
-        return number
-    if ctype == TIMESTAMP:
-        return parse_timestamp(value)
-    return value
+        us, _, bad = _parse_stamps(values)
+        if bad is None:
+            return TIMESTAMP, rows, us.astype("datetime64[us]"), None
+        return TEXT, rows, np.array(values, dtype=object), None
+    bad = rows[~np.isfinite(numbers)]
+    if len(bad):
+        i = int(bad[0])
+        return NUMBER, rows, numbers, (i, NonFiniteNumber(f"row {i + 2}, column", col, texts[i],
+                                                          row=i + 2))
+    return NUMBER, rows, numbers, None
 
 
 def parse_csv(path: str | Path, mapping: CsvMapping) -> EventLog:
@@ -188,120 +308,201 @@ def parse_csv(path: str | Path, mapping: CsvMapping) -> EventLog:
     checked, and each later value that differs is counted in
     ``log.meta["case_attr_conflicts"]``.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=mapping.delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyLog(f"{path}: file is empty") from None
-        rows = list(reader)
+    cols = _read_columns(path, mapping)
+    case_text, act_text = cols[mapping.case_id_col], cols[mapping.activity_col]
+    n = len(case_text)
+    # (row index, check, error): a row-by-row reading meets the least first
+    failures = []
+    if "" in case_text or "" in act_text:
+        i = min(t.index("") for t in (case_text, act_text) if "" in t)
+        col = mapping.activity_col if case_text[i] else mapping.case_id_col
+        failures.append((i, 0, EmptyValue(f"row {i + 2}: column {col!r} is empty", row=i + 2)))
+    stamps = cols[mapping.timestamp_col]
+    time_us, aware, bad = _parse_stamps(stamps, mapping.timestamp_format)
+    if bad is not None:
+        i = bad[0]
+        failures.append((i, 1, _stamp_error(f"row {i + 2}: ", stamps[i], bad[1], i + 2)))
+    attr_cols = [(col, True) for col in mapping.event_attr_cols]
+    attr_cols += [(col, False) for col in mapping.case_attr_cols]
+    typed = [_csv_values(cols[col], col) for col, _ in attr_cols]
+    failures += [(f[0], check, f[1]) for check, (*_, f) in enumerate(typed, start=2) if f]
+    if failures:
+        raise min(failures, key=lambda f: f[:2])[2]
 
-    colidx: dict[str, int] = {}
-    for i, name in enumerate(header):
-        colidx.setdefault(name.strip(), i)
-    for col in mapping.columns():
-        if col not in colidx:
-            raise MissingColumn(f"{path}: column {col!r} not found in header {header}")
-    if not rows:
-        raise EmptyLog(f"{path}: no data rows")
+    meta: dict = {}
+    lifecycle = np.zeros(n, dtype=np.int8)
+    if mapping.lifecycle_col:
+        lifecycle, meta["ignored_lifecycle_transitions"] = _lifecycles(
+            [t or None for t in cols[mapping.lifecycle_col]])
+    case_ids, case = coded(case_text)
+    event_attrs, case_attrs, conflicts = {}, {}, 0
+    for (col, per_event), (vtype, rows, values, _) in zip(attr_cols, typed):
+        if per_event and len(rows):
+            event_attrs[col] = Attribute.build(vtype, n, rows, values)
+        elif len(rows):
+            owners = case[rows]
+            first = np.unique(owners, return_index=True)[1]
+            case_attrs[col] = attr = Attribute.build(vtype, len(case_ids), owners[first],
+                                                     values[first])
+            conflicts += int(np.count_nonzero(values != attr.values[owners]))
+    meta["case_attr_conflicts"] = conflicts
+    meta["naive_timestamps_among_aware"] = n - int(aware.sum()) if aware.any() else 0
+    resource_text = cols[mapping.resource_col] if mapping.resource_col else [""] * n
+    columns = LogColumns(list(case_ids), case, *coded(act_text),
+                         *coded([t or None for t in resource_text]), lifecycle, time_us,
+                         event_attrs, case_attrs)
+    return sort_and_validate(EventLog(meta=_nonzero(meta), columns=columns))
 
-    def cell(row: list[str], col: str) -> str:
-        i = colidx[col]
-        return row[i].strip() if i < len(row) else ""
 
-    attr_cols = tuple(mapping.event_attr_cols) + tuple(mapping.case_attr_cols)
-    col_types = {
-        col: _infer_column_type([cell(r, col) for r in rows if cell(r, col) != ""])
-        for col in attr_cols
-    }
-
-    log = EventLog()
-    ignored_lifecycle = 0
-    case_attr_conflicts = 0
-    for rownum, row in enumerate(rows, start=2):
-        case_id = cell(row, mapping.case_id_col)
-        activity = cell(row, mapping.activity_col)
-        if not (case_id and activity):
-            col = mapping.activity_col if case_id else mapping.case_id_col
-            raise EmptyValue(f"row {rownum}: column {col!r} is empty", row=rownum)
-        ts = parse_timestamp(
-            cell(row, mapping.timestamp_col), mapping.timestamp_format, row=rownum
-        )
-        resource = cell(row, mapping.resource_col) if mapping.resource_col else ""
-        lifecycle = None
-        if mapping.lifecycle_col:
-            raw = cell(row, mapping.lifecycle_col).lower()
-            if raw in (LIFECYCLE_START, LIFECYCLE_COMPLETE):
-                lifecycle = raw
-            elif raw:
-                ignored_lifecycle += 1
-        attrs = {}
-        for col in mapping.event_attr_cols:
-            value = cell(row, col)
-            if value != "":
-                attrs[col] = _convert(value, col_types[col], rownum, col)
-        case = log.cases.get(case_id)
-        if case is None:
-            case = log.cases[case_id] = Case(case_id=case_id)
-        for col in mapping.case_attr_cols:
-            value = cell(row, col)
-            if value != "":
-                value = _convert(value, col_types[col], rownum, col)
-                if case.attrs.setdefault(col, value) != value:
-                    case_attr_conflicts += 1
-        case.events.append(
-            Event(
-                event_id=f"e{rownum - 1}",
-                case_id=case_id,
-                activity=activity,
-                timestamp=ts,
-                resource=resource or None,
-                lifecycle=lifecycle,
-                attrs=attrs,
-            )
-        )
-    if ignored_lifecycle:
-        log.meta["ignored_lifecycle_transitions"] = ignored_lifecycle
-    if case_attr_conflicts:
-        log.meta["case_attr_conflicts"] = case_attr_conflicts
-    return sort_and_validate(log)
+def _nonzero(counts: dict) -> dict:
+    return {key: count for key, count in counts.items() if count}
 
 
 def write_csv(log: EventLog, mapping: CsvMapping, path: str | Path) -> None:
     """Export a log to a delimited file laid out per ``mapping``."""
+    c = log.columns
+    stamps = c.time_us.astype("datetime64[us]").tolist()
+    if mapping.timestamp_format is None:
+        stamps = [ts.isoformat() for ts in stamps]
+    else:
+        stamps = [ts.strftime(mapping.timestamp_format) for ts in stamps]
+    out = [decode(c.case_ids, c.case), decode(c.activities, c.activity), stamps]
+    if mapping.resource_col:
+        out.append(decode((*c.resources, ""), c.resource))
+    if mapping.lifecycle_col:
+        out.append(decode(("", *LIFECYCLES[1:]), c.lifecycle))
+    out += [_formatted(c.event_attrs.get(col), len(c.case)) for col in mapping.event_attr_cols]
+    out += [decode(_formatted(c.case_attrs.get(col), len(c.case_ids)), c.case)
+            for col in mapping.case_attr_cols]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, delimiter=mapping.delimiter)
         writer.writerow(mapping.columns())
-        for case in log.cases.values():
-            for e in case.events:
-                row = [case.case_id, e.activity, _format_ts(e.timestamp, mapping)]
-                if mapping.resource_col:
-                    row.append(e.resource or "")
-                if mapping.lifecycle_col:
-                    row.append(e.lifecycle or "")
-                for col in mapping.event_attr_cols:
-                    row.append(_format_value(e.attrs.get(col)))
-                for col in mapping.case_attr_cols:
-                    row.append(_format_value(case.attrs.get(col)))
-                writer.writerow(row)
+        writer.writerows(zip(*out))
 
 
-def _format_ts(ts: datetime, mapping: CsvMapping) -> str:
-    if mapping.timestamp_format is not None:
-        return ts.strftime(mapping.timestamp_format)
-    return ts.isoformat()
+def _formatted(attr: Attribute | None, n: int) -> list[str]:
+    """Cell texts of one attribute column: ``repr`` of numbers, ISO stamps, lower-case booleans."""
+    if attr is None:
+        return [""] * n
+    fmt = {NUMBER: repr, BOOLEAN: lambda v: "true" if v else "false",
+           TIMESTAMP: datetime.isoformat}.get(attr.type, str)
+    return [fmt(v) if p else "" for v, p in zip(attr.values.tolist(), attr.present.tolist())]
 
 
-def _format_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, datetime):
-        return value.isoformat()
-    return str(value)
+_XES_TYPES = {"string": TEXT, "date": TIMESTAMP, "int": NUMBER, "float": NUMBER,
+              "boolean": BOOLEAN}
+
+
+def _read_xes(path):
+    """Stream the document. Returns the root's name; where each trace and event
+    starts, as the serial number of its element; each event's trace; per
+    attribute key, the serial numbers, tags and value texts of its trace-level
+    and of its event-level records; and the number of ``<list>`` and
+    ``<container>`` elements of traces and events."""
+    parser = expat.ParserCreate(namespace_separator="}")
+    parser.ordered_attributes = True
+    names: dict[str, str] = {}
+    root, trace_at, event_at, event_trace, trace_keys, event_keys = [], [], [], [], {}, {}
+    # Depth is elements opened minus elements closed; closing appends to a
+    # list from C, which spares a Python call per element.
+    closed: list[str] = []
+    opened, in_trace, in_event, skipped = 0, False, False, 0
+
+    def local(name: str) -> str:
+        tag = names[name] = name.rpartition("}")[2]
+        return tag
+
+    def start(name, attrs):
+        nonlocal opened, in_trace, in_event, skipped
+        opened += 1
+        depth = opened - len(closed)
+        if depth == 4:
+            if not in_event:
+                return
+            keys = event_keys
+        elif depth == 3:
+            in_event = False
+            if not in_trace:
+                return
+            if (names.get(name) or local(name)) == "event":
+                in_event = True
+                event_at.append(opened)
+                event_trace.append(len(trace_at) - 1)
+                return
+            keys = trace_keys
+        else:
+            if depth == 2:
+                in_trace = (names.get(name) or local(name)) == "trace"
+                if in_trace:
+                    trace_at.append(opened)
+            elif depth == 1:
+                root.append(local(name))
+            return
+        tag = names.get(name) or local(name)
+        if tag not in _XES_TYPES:
+            skipped += tag in ("list", "container")
+            return
+        if len(attrs) == 4 and attrs[0] == "key" and attrs[2] == "value":
+            key, value = attrs[1], attrs[3]
+        else:
+            named = dict(zip(attrs[::2], attrs[1::2]))
+            key, value = named.get("key"), named.get("value")
+            if key is None or value is None:
+                return
+        record = keys.get(key)
+        if record is None:
+            record = keys[key] = ([], [], [])
+        record[0].append(opened)
+        record[1].append(tag)
+        record[2].append(value)
+
+    parser.StartElementHandler, parser.EndElementHandler = start, closed.append
+    collecting = gc.isenabled()
+    gc.disable()  # each element's attribute list is a fresh container
+    try:
+        with open(path, "rb") as fh:
+            parser.ParseFile(fh)
+    except expat.ExpatError as exc:
+        raise XmlMalformed(f"{path}: {exc}") from exc
+    finally:
+        if collecting:
+            gc.enable()
+    return root[0], trace_at, event_at, event_trace, trace_keys, event_keys, skipped
+
+
+def _xes_values(key: str, tags: list[str], texts: list[str], where):
+    """Type and value of each record of one key (stamps in microseconds since
+    the epoch), which stamps carried an offset, and the first failure as
+    ``(record, error)``; ``where(i)`` is record ``i``'s place and event number."""
+    mixed = len(set(tags)) > 1
+    types = [_XES_TYPES[t] for t in tags] if mixed else [_XES_TYPES[tags[0]]] * len(tags)
+    values, aware, failures = list(texts), np.zeros(len(texts), bool), []
+    dates = []
+    if mixed or types[0] == TIMESTAMP:
+        dates = [i for i, t in enumerate(types) if t == TIMESTAMP]
+    if dates:
+        us, aware[dates], bad = _parse_stamps([texts[i] for i in dates])
+        for i, value in zip(dates, us.tolist()):
+            values[i] = value
+        if bad is not None:
+            i = dates[bad[0]]
+            place, row = where(i)
+            failures.append((i, _stamp_error(f"{place}, attribute {key!r}: ", texts[i], bad[1],
+                                             row)))
+    for i, vtype in enumerate(types if mixed or types[0] in (NUMBER, BOOLEAN) else ()):
+        if vtype == BOOLEAN:
+            values[i] = texts[i].strip().lower() == "true"
+        elif vtype == NUMBER:
+            try:
+                values[i] = float(texts[i])
+            except ValueError:
+                failures.append((i, XmlMalformed(
+                    f"attribute {key!r} has non-numeric value {texts[i]!r}")))
+                break
+            if not math.isfinite(values[i]):
+                failures.append((i, NonFiniteNumber(f"{where(i)[0]}, attribute", key, texts[i])))
+                break
+    return types, values, aware, min(failures, default=None, key=lambda f: f[0])
 
 
 def parse_xes(path: str | Path) -> EventLog:
@@ -313,107 +514,121 @@ def parse_xes(path: str | Path) -> EventLog:
     than start/complete are dropped and counted in ``log.meta``. Unknown
     attribute keys are preserved with their declared types.
     """
-    try:
-        tree = ET.parse(path)
-    except ET.ParseError as exc:
-        raise XmlMalformed(f"{path}: {exc}") from exc
-    root = tree.getroot()
-    if _local(root.tag) != "log":
-        raise XmlMalformed(f"{path}: root element is <{root.tag}>, expected <log>")
+    root, trace_at, event_at, event_trace, trace_keys, event_keys, skipped = _read_xes(path)
+    if root != "log":
+        raise XmlMalformed(f"{path}: root element is <{root}>, expected <log>")
+    n = len(event_at)
+    event_trace = np.array(event_trace, dtype=np.int32)
+    # (trace, part, offset, check, error): the least is the one a trace-by-trace
+    # reading meets first, taking a trace's attributes (part 0), its id (1),
+    # then its events (2) in document order.
+    failures: list[tuple] = []
+    finals = {}
+    for per_event, keys, starts in ((False, trace_keys, trace_at), (True, event_keys, event_at)):
+        starts = np.array(starts, dtype=np.int64)
+        for key, (at, tags, texts) in keys.items():
+            owner = np.searchsorted(starts, at, side="right") - 1
 
-    log = EventLog()
-    ignored_lifecycle = 0
-    event_index = 0
-    trace_of: dict[str, int] = {}
-    for tracenum, trace in enumerate(_children(root, "trace"), start=1):
-        case_attrs = _parse_attrs(trace, f"trace {tracenum}", skip_events=True)
-        case_id = case_attrs.pop(KEY_ACTIVITY, None) or f"trace_{tracenum}"
-        case = Case(case_id=str(case_id), attrs=case_attrs)
-        first = trace_of.setdefault(case.case_id, tracenum)
-        if first != tracenum:
-            raise DuplicateTraceId(
-                f"traces {first} and {tracenum} share the case id {case.case_id!r}"
-            )
-        for ev in _children(trace, "event"):
-            event_index += 1
-            attrs = _parse_attrs(ev, f"event #{event_index}", skip_events=False)
-            activity = attrs.pop(KEY_ACTIVITY, None)
-            if activity is None or not str(activity).strip():
-                raise MissingConceptName(
-                    f"event #{event_index} (trace {case.case_id!r}) has "
-                    + ("no" if activity is None else "an empty") + " concept:name",
-                    event_index=event_index,
-                )
-            ts = attrs.pop(KEY_TIMESTAMP, None)
-            if ts is None:
-                raise TimestampParse(
-                    f"event #{event_index} (trace {case.case_id!r}) has no time:timestamp",
-                    row=event_index,
-                )
-            if not isinstance(ts, datetime):
-                raise TimestampParse(
-                    f"event #{event_index}: time:timestamp is not a date attribute",
-                    row=event_index,
-                )
-            resource = attrs.pop(KEY_RESOURCE, None)
-            lifecycle = attrs.pop(KEY_LIFECYCLE, None)
-            if lifecycle is not None:
-                lifecycle = str(lifecycle).lower()
-                if lifecycle not in (LIFECYCLE_START, LIFECYCLE_COMPLETE):
-                    ignored_lifecycle += 1
-                    lifecycle = None
-            case.events.append(
-                Event(
-                    event_id=f"e{event_index}",
-                    case_id=case.case_id,
-                    activity=str(activity),
-                    timestamp=ts,
-                    resource=None if resource is None else str(resource),
-                    lifecycle=lifecycle,
-                    attrs=attrs,
-                )
-            )
-        log.cases[case.case_id] = case
-    if event_index == 0:
+            def where(i, owner=owner, per_event=per_event):
+                o = int(owner[i]) + 1
+                return (f"event #{o}", o) if per_event else (f"trace {o}", None)
+
+            types, values, aware, failure = _xes_values(key, tags, texts, where)
+            if failure is not None:
+                i = failure[0]
+                trace = event_trace[owner[i]] if per_event else owner[i]
+                failures.append((int(trace), 2 * per_event, at[i], 0, failure[1]))
+            finals[per_event, key] = owner, types, values, aware
+            if (owner[1:] == owner[:-1]).any():  # a key repeated in one element: the last wins
+                last = np.flatnonzero(np.append(owner[1:] != owner[:-1], True)).tolist()
+                finals[per_event, key] = (owner[last], [types[i] for i in last],
+                                          [values[i] for i in last], aware[last])
+
+    case_ids = [f"trace_{t + 1}" for t in range(len(trace_at))]
+    for t, vtype, value in zip(*_final(finals, False, KEY_ACTIVITY)[:3]):
+        case_ids[t] = str(_python(vtype, value) or case_ids[t])
+    first_of: dict[str, int] = {}
+    for t, case_id in enumerate(case_ids):
+        if first_of.setdefault(case_id, t) != t:
+            failures.append((t, 1, 0, 0, DuplicateTraceId(
+                f"traces {first_of[case_id] + 1} and {t + 1} share the case id {case_id!r}")))
+
+    next_at = event_at[1:] + [math.inf]
+
+    def named(e: int) -> str:
+        return f"event #{e + 1} (trace {case_ids[event_trace[e]]!r})"
+
+    activity = _standard(finals, KEY_ACTIVITY, n)
+    for e, text in enumerate(activity if None in activity or not all(map(str.strip, activity))
+                             else ()):
+        if text is None or not text.strip():
+            failures.append((event_trace[e], 2, next_at[e], 1, MissingConceptName(
+                f"{named(e)} has {'no' if text is None else 'an empty'} concept:name",
+                event_index=e + 1)))
+    owners, types, values, aware = _final(finals, True, KEY_TIMESTAMP)
+    has_stamp = np.zeros(n, dtype=bool)
+    has_stamp[owners] = True
+    for e in np.flatnonzero(~has_stamp).tolist():
+        failures.append((event_trace[e], 2, next_at[e], 2, TimestampParse(
+            f"{named(e)} has no time:timestamp", row=e + 1)))
+    for e, vtype in zip(owners.tolist(), types):
+        if vtype != TIMESTAMP:
+            failures.append((event_trace[e], 2, next_at[e], 2, TimestampParse(
+                f"event #{e + 1}: time:timestamp is not a date attribute", row=e + 1)))
+    if failures:
+        raise min(failures, key=lambda f: f[:4])[4]
+    if n == 0:
         raise EmptyLog(f"{path}: document contains no events")
-    if ignored_lifecycle:
-        log.meta["ignored_lifecycle_transitions"] = ignored_lifecycle
-    return sort_and_validate(log)
+    time_us = np.zeros(n, dtype=np.int64)
+    time_us[owners] = values
+    lifecycle, ignored = _lifecycles(_standard(finals, KEY_LIFECYCLE, n))
+    meta = {"ignored_lifecycle_transitions": ignored,
+            "skipped_container_attributes": skipped,
+            "naive_timestamps_among_aware": n - int(aware.sum()) if aware.any() else 0}
+    resource = coded(_standard(finals, KEY_RESOURCE, n))
+    attrs = {False: {}, True: {}}
+    for (per_event, key), (owners, types, values, _) in finals.items():
+        kinds = tuple(dict.fromkeys(types))
+        vtype = kinds[0] if len(kinds) == 1 else kinds
+        if vtype == TIMESTAMP:
+            values = np.array(values, dtype=np.int64).astype("datetime64[us]")
+        elif vtype == TEXT or len(kinds) > 1:
+            values = np.array(values, dtype=object)
+        attrs[per_event][key] = Attribute.build(vtype, n if per_event else len(case_ids),
+                                                owners, values)
+    columns = LogColumns(case_ids, event_trace, *coded(activity), *resource, lifecycle,
+                         time_us, attrs[True], attrs[False])
+    return sort_and_validate(EventLog(meta=_nonzero(meta), columns=columns))
 
 
-def _local(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
+def _lifecycles(texts: list) -> tuple[np.ndarray, int]:
+    """Each text's index in ``LIFECYCLES`` (case-blind; 0 for None and others), and
+    how many texts were neither None nor a known lifecycle."""
+    names, codes = coded(texts)
+    kinds = np.array([_KINDS.get(name.lower(), 0) for name in names] + [0], dtype=np.int8)
+    lifecycle = kinds[codes]
+    return lifecycle, int(np.count_nonzero(codes >= 0)) - int(np.count_nonzero(lifecycle))
 
 
-def _children(elem: ET.Element, name: str) -> list[ET.Element]:
-    return [c for c in elem if _local(c.tag) == name]
+def _final(finals: dict, per_event: bool, key: str):
+    """Owners, types, values and offset flags of a key's last record per owner; removed."""
+    return finals.pop((per_event, key), (np.zeros(0, np.intp), [], [], np.zeros(0, bool)))
 
 
-def _parse_attrs(elem: ET.Element, where: str, skip_events: bool) -> dict:
-    attrs: dict = {}
-    for child in elem:
-        tag = _local(child.tag)
-        if skip_events and tag == "event":
-            continue
-        key = child.get("key")
-        value = child.get("value")
-        if key is None or value is None:
-            continue
-        if tag == "string":
-            attrs[key] = value
-        elif tag == "date":
-            attrs[key] = parse_timestamp(value)
-        elif tag in ("int", "float"):
-            try:
-                attrs[key] = float(value)
-            except ValueError as exc:
-                raise XmlMalformed(f"attribute {key!r} has non-numeric value {value!r}") from exc
-            if not math.isfinite(attrs[key]):
-                raise NonFiniteNumber(f"{where}, attribute", key, value)
-        elif tag == "boolean":
-            attrs[key] = value.strip().lower() == "true"
-        # container and extension elements are outside the supported subset
-    return attrs
+def _standard(finals: dict, key: str, n: int) -> list:
+    """Per event, the text of a standard key's value (``str`` of a non-string), or None."""
+    owners, types, values, _ = _final(finals, True, key)
+    if len(owners) == n and types.count(TEXT) == n:  # every event has it, as a string
+        return list(values)
+    text: list = [None] * n
+    for e, vtype, value in zip(owners.tolist(), types, values):
+        text[e] = value if vtype == TEXT else str(_python(vtype, value))
+    return text
+
+
+def _python(vtype: str, value):
+    """A record's value as the object model holds it."""
+    return EPOCH + timedelta(microseconds=value) if vtype == TIMESTAMP else value
 
 
 def write_xes(log: EventLog, path: str | Path) -> None:

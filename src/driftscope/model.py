@@ -6,21 +6,26 @@ an optional resource and lifecycle marker, and a free-form attribute map.
 Attribute values are restricted to numbers, text, booleans and timestamps,
 and a given key must carry one type throughout a log.
 
-Logs are assembled in whatever order the source provides and then passed
-through :func:`sort_and_validate`, which orders events, checks identifier
-uniqueness and rebuilds the derived catalogs (activity alphabet, resource
+A validated log stores its events once, as the parallel arrays of a
+:class:`LogColumns`. The parsers write those arrays directly; a log built
+from :class:`Case` and :class:`Event` objects (``EventLog()``, then
+``log.cases[...] = Case(...)``) is turned into them by
+:func:`sort_and_validate`, which also orders the events, checks identifiers
+and attribute types and derives the catalogs (activity alphabet, resource
 set, attribute tables, time span). After that the log is treated as
-immutable by the rest of the package, which reads it through
-:attr:`EventLog.table`: the same events as numpy columns, built on first use
-and kept for the life of the log.
+immutable. The rest of the package reads it through :attr:`EventLog.table`;
+``log.cases`` and :meth:`EventLog.iter_events` build ``Case``/``Event``
+objects from the columns on demand, case by case, and keep none of them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from functools import cached_property
-from typing import Iterator
+from itertools import count, repeat
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -32,6 +37,8 @@ from .errors import (
 
 #: One microsecond, used to convert timestamp differences to exact integers.
 _US = timedelta(microseconds=1)
+#: Timestamps are stored as integer microseconds since this naive instant.
+EPOCH = datetime(1970, 1, 1)
 
 #: Attribute type names used in the per-log attribute tables.
 NUMBER = "number"
@@ -39,9 +46,11 @@ TEXT = "text"
 BOOLEAN = "boolean"
 TIMESTAMP = "timestamp"
 
-#: Lifecycle markers recognised by the performance extractors.
+#: Lifecycle markers recognised by the performance extractors; the lifecycle
+#: column stores the index into ``LIFECYCLES`` (0: none).
 LIFECYCLE_START = "start"
 LIFECYCLE_COMPLETE = "complete"
+LIFECYCLES = (None, LIFECYCLE_START, LIFECYCLE_COMPLETE)
 
 
 def attribute_type(value) -> str:
@@ -59,6 +68,11 @@ def attribute_type(value) -> str:
     if isinstance(value, str):
         return TEXT
     raise TypeError(f"unsupported attribute value type: {type(value).__name__}")
+
+
+def to_us(ts: datetime) -> int:
+    """A naive timestamp as integer microseconds since :data:`EPOCH`."""
+    return (ts - EPOCH) // _US
 
 
 @dataclass
@@ -83,9 +97,68 @@ class Case:
     events: list[Event] = field(default_factory=list)
 
 
+class Attribute(NamedTuple):
+    """One attribute key over all events (or all cases) of a log.
+
+    ``values`` is float64 (NaN where absent) for numbers, bool for booleans,
+    object (``None`` where absent) for text and ``datetime64[us]`` for
+    timestamps. A key seen with several types has a tuple of those types as
+    ``type`` and Python objects as values; validation rejects it.
+    """
+
+    type: str | tuple
+    present: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def build(cls, vtype, n: int, rows, values) -> "Attribute":
+        """The column of ``n`` entries holding ``values`` at ``rows``."""
+        present = np.zeros(n, dtype=bool)
+        present[rows] = True
+        dtype, empty = _STORAGE.get(vtype, (object, None))
+        column = np.full(n, empty, dtype=dtype)
+        column[rows] = values
+        return cls(vtype, present, column)
+
+
+_STORAGE = {NUMBER: (np.float64, np.nan), BOOLEAN: (bool, False),
+            TIMESTAMP: ("datetime64[us]", None), TEXT: (object, None)}
+
+
 @dataclass
+class LogColumns:
+    """A log's events as parallel arrays; row ``i`` is one event.
+
+    ``case``, ``activity`` and ``resource`` are codes into ``case_ids``,
+    ``activities`` and ``resources`` (-1: no resource); ``lifecycle``
+    indexes :data:`LIFECYCLES`; ``time_us`` is naive UTC in microseconds
+    since :data:`EPOCH`. Event attributes have one entry per row, case
+    attributes one per case code. ``source`` is each row's position in
+    ingestion order (``None``: the rows are in that order); ``event_ids``
+    lists the identifiers in ingestion order (``None``: ``e1``, ``e2``, ...).
+    """
+
+    case_ids: list[str]
+    case: np.ndarray
+    activities: tuple[str, ...]
+    activity: np.ndarray
+    resources: tuple[str, ...]
+    resource: np.ndarray
+    lifecycle: np.ndarray
+    time_us: np.ndarray
+    event_attrs: dict[str, Attribute] = field(default_factory=dict)
+    case_attrs: dict[str, Attribute] = field(default_factory=dict)
+    source: np.ndarray | None = None
+    event_ids: list[str] | None = None
+
+
 class EventLog:
-    """A validated collection of cases plus derived catalogs.
+    """A collection of cases plus derived catalogs.
+
+    ``EventLog()`` starts an empty log whose ``cases`` is a plain dict to
+    fill with :class:`Case` objects before :func:`sort_and_validate`. A
+    validated log holds :class:`LogColumns` instead, and its ``cases`` is a
+    read-only mapping that builds each case when it is asked for.
 
     ``activities`` and ``resources`` are sorted tuples so that feature row
     order never depends on ingestion order. ``span`` is the pair of earliest
@@ -95,13 +168,35 @@ class EventLog:
     pipeline surfaces in report metadata.
     """
 
-    cases: dict[str, Case] = field(default_factory=dict)
-    activities: tuple[str, ...] = ()
-    resources: tuple[str, ...] = ()
-    event_attr_types: dict[str, str] = field(default_factory=dict)
-    case_attr_types: dict[str, str] = field(default_factory=dict)
-    span: tuple[datetime, datetime] | None = None
-    meta: dict = field(default_factory=dict)
+    def __init__(self, cases: dict[str, Case] | None = None, meta: dict | None = None,
+                 columns: LogColumns | None = None):
+        self.meta = {} if meta is None else meta
+        self.columns = columns
+        self._draft = {} if cases is None else cases
+        self.span: tuple[datetime, datetime] | None = None
+        if columns is not None and len(columns.time_us):
+            lo, hi = columns.time_us.min(), columns.time_us.max()
+            self.span = (EPOCH + int(lo) * _US, EPOCH + int(hi) * _US)
+
+    @cached_property
+    def cases(self) -> Mapping[str, Case]:
+        return self._draft if self.columns is None else CaseView(self.columns)
+
+    @property
+    def activities(self) -> tuple[str, ...]:
+        return () if self.columns is None else self.columns.activities
+
+    @property
+    def resources(self) -> tuple[str, ...]:
+        return () if self.columns is None else self.columns.resources
+
+    @property
+    def event_attr_types(self) -> dict[str, str]:
+        return {} if self.columns is None else _types(self.columns.event_attrs)
+
+    @property
+    def case_attr_types(self) -> dict[str, str]:
+        return {} if self.columns is None else _types(self.columns.case_attrs)
 
     def iter_events(self) -> Iterator[Event]:
         """Yield all events, case by case, in stored order."""
@@ -110,7 +205,9 @@ class EventLog:
 
     @property
     def event_count(self) -> int:
-        return sum(len(c.events) for c in self.cases.values())
+        if self.columns is None:
+            return sum(len(c.events) for c in self._draft.values())
+        return len(self.columns.time_us)
 
     @property
     def case_count(self) -> int:
@@ -129,17 +226,72 @@ class EventLog:
 
     @cached_property
     def table(self) -> "EventTable":
-        """The events as numpy columns; built once, on first use."""
+        """The derived per-event columns; built once, on first use."""
         return EventTable(self)
 
 
+def _types(attrs: dict[str, Attribute]) -> dict[str, str]:
+    return {key: attr.type for key, attr in attrs.items()}
+
+
+class CaseView(Mapping):
+    """``log.cases`` of a validated log: case id to :class:`Case`, each built
+    from the columns when it is asked for and not kept."""
+
+    def __init__(self, columns: LogColumns):
+        self._c = columns
+        self._bounds = np.searchsorted(columns.case, np.arange(len(columns.case_ids) + 1)).tolist()
+
+    @cached_property
+    def _code(self) -> dict[str, int]:
+        return {case_id: i for i, case_id in enumerate(self._c.case_ids)}
+
+    def __len__(self) -> int:
+        return len(self._c.case_ids)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._c.case_ids)
+
+    def __contains__(self, case_id) -> bool:
+        return case_id in self._code
+
+    def __getitem__(self, case_id: str) -> Case:
+        return self._case(self._code[case_id])
+
+    def _case(self, code: int) -> Case:
+        c, a, b = self._c, self._bounds[code], self._bounds[code + 1]
+        case_id = c.case_ids[code]
+        rows = range(a, b) if c.source is None else c.source[a:b].tolist()
+        ids = [c.event_ids[i] for i in rows] if c.event_ids else [f"e{i + 1}" for i in rows]
+        events = map(Event, ids, repeat(case_id), decode(c.activities, c.activity[a:b]),
+                     c.time_us[a:b].astype("datetime64[us]").tolist(),
+                     decode((*c.resources, None), c.resource[a:b]),
+                     decode(LIFECYCLES, c.lifecycle[a:b]), _attr_dicts(c.event_attrs, a, b))
+        return Case(case_id, _attr_dicts(c.case_attrs, code, code + 1)[0], list(events))
+
+
+def decode(names, codes: np.ndarray) -> list:
+    """``names[code]`` for each code."""
+    return list(map(names.__getitem__, codes.tolist()))
+
+
+def _attr_dicts(attrs: dict[str, Attribute], a: int, b: int) -> list[dict]:
+    """The attribute dicts of entries ``a`` to ``b`` (events or cases)."""
+    out: list[dict] = [{} for _ in range(b - a)]
+    for key, attr in attrs.items():
+        values = attr.values[a:b].tolist()
+        for i in np.flatnonzero(attr.present[a:b]).tolist():
+            out[i][key] = values[i]
+    return out
+
+
 class EventTable:
-    """The events of a validated log as numpy columns.
+    """The per-event columns the extractors read, derived from a validated log.
 
     Row ``i`` is the ``i``-th event of :meth:`EventLog.iter_events`, so each
     case's events are contiguous and in time order. ``case``, ``activity``
-    and ``resource`` are int32 codes into ``log.cases`` (stored order),
-    ``log.activities`` and ``log.resources``; -1 means no resource.
+    and ``resource`` are the log's int32 codes into ``log.cases`` (stored
+    order), ``log.activities`` and ``log.resources``; -1 means no resource.
 
     * ``offset_us``: int64 offset from the log origin.
     * ``prev``: row of the previous event of the same case, -1 for none.
@@ -151,60 +303,43 @@ class EventTable:
     * :meth:`attr_column`: per attribute key, a presence mask and a float64
       column (per event or per case), NaN where absent. A non-numeric
       attribute's column is all NaN: the only aggregation over it is
-      ``count``, which reads the mask. Each column is built the first time it
-      is asked for, so attributes no extractor reads cost nothing.
+      ``count``, which reads the mask.
 
     Durations are integer-microsecond differences divided by 1e6, which is
     exactly ``timedelta.total_seconds()``.
     """
 
     def __init__(self, log: EventLog):
-        cases = list(log.cases.values())
-        events = [e for case in cases for e in case.events]
-        n = len(events)
-        sizes = np.array([len(case.events) for case in cases], dtype=np.int64)
+        c = log.columns
+        n = len(c.time_us)
+        sizes = np.bincount(c.case, minlength=len(c.case_ids))
         first = np.cumsum(sizes) - sizes
         last = (first + sizes - 1)[sizes > 0]
         first = first[sizes > 0]
 
-        origin = log.span[0] if log.span else None
-        self.offset_us = np.fromiter(((e.timestamp - origin) // _US for e in events), np.int64, n)
-        self.case = np.repeat(np.arange(len(cases), dtype=np.int32), sizes)
-        act = {a: i for i, a in enumerate(log.activities)}
-        self.activity = np.fromiter((act[e.activity] for e in events), np.int32, n)
-        res = {r: i for i, r in enumerate(log.resources)}
-        self.resource = np.fromiter((res.get(e.resource, -1) for e in events), np.int32, n)
+        self.offset_us = c.time_us - c.time_us.min() if n else c.time_us
+        self.case = c.case
+        self.activity = c.activity
+        self.resource = c.resource
         self.prev = np.arange(-1, n - 1)
         self.prev[first] = -1
         self.case_end = np.zeros(n, dtype=bool)
         self.case_end[last] = True
-        self.case_duration_s = np.zeros(len(cases))
+        self.case_duration_s = np.zeros(len(c.case_ids))
         self.case_duration_s[sizes > 0] = (self.offset_us[last] - self.offset_us[first]) / 1e6
-        self.service_s = self._service_seconds(events, len(log.activities))
-        self._cases = cases
-        self._types = {"event": log.event_attr_types, "case": log.case_attr_types}
-        self._columns: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
+        self.service_s = self._service_seconds(c.lifecycle, len(c.activities))
+        self._attrs = {"event": c.event_attrs, "case": c.case_attrs}
 
     def attr_column(self, key: str, level: str) -> tuple[np.ndarray, np.ndarray]:
-        """Presence mask and values of an ``"event"`` or ``"case"`` attribute, built once."""
-        if (key, level) not in self._columns:
-            if level == "event":
-                maps = [e.attrs for case in self._cases for e in case.events]
-            else:
-                maps = [case.attrs for case in self._cases]
-            present = np.fromiter((key in m for m in maps), bool, len(maps))
-            if self._types[level][key] == NUMBER:
-                values = np.fromiter((m.get(key, np.nan) for m in maps), np.float64, len(maps))
-            else:
-                values = np.full(len(maps), np.nan)
-            self._columns[key, level] = present, values
-        return self._columns[key, level]
+        """Presence mask and float64 values of an ``"event"`` or ``"case"`` attribute."""
+        attr = self._attrs[level][key]
+        if attr.type == NUMBER:
+            return attr.present, attr.values
+        return attr.present, np.full(len(attr.present), np.nan)
 
-    def _service_seconds(self, events: list[Event], n_activities: int) -> np.ndarray:
+    def _service_seconds(self, kind: np.ndarray, n_activities: int) -> np.ndarray:
         # Walk the start/complete rows grouped by (case, activity), in time
         # order within each group; no per-event containers, so no GC churn.
-        kinds = {LIFECYCLE_START: 1, LIFECYCLE_COMPLETE: 2}
-        kind = np.fromiter((kinds.get(e.lifecycle, 0) for e in events), np.int8, len(events))
         rows = np.flatnonzero(kind)
         group = self.case[rows].astype(np.int64) * n_activities + self.activity[rows]
         order = np.argsort(group, kind="stable")
@@ -222,74 +357,139 @@ class EventTable:
             elif open_starts:
                 starts.append(open_starts.pop())
                 completes.append(row)
-        out = np.full(len(events), np.nan)
+        out = np.full(len(kind), np.nan)
         out[completes] = (self.offset_us[completes] - self.offset_us[starts]) / 1e6
         return out
 
 
 def sort_and_validate(log: EventLog) -> EventLog:
-    """Order events, check identifiers and rebuild all derived catalogs.
+    """Order events, check identifiers and attribute types, derive the catalogs.
 
-    Events inside each case are sorted by timestamp with a stable sort, so
+    Events are ordered by case, then timestamp, with a stable sort, so
     simultaneous events keep their ingestion order. Raises
     :class:`DuplicateEventId` when an identifier repeats inside one case,
     :class:`EventInMultipleCases` when it appears across cases, and
     :class:`AttributeTypeMismatch` when one attribute key mixes types.
     """
-    seen: dict[str, str] = {}
-    activities: set[str] = set()
-    resources: set[str] = set()
-    event_types: dict[str, str] = {}
-    case_types: dict[str, str] = {}
-    lo: datetime | None = None
-    hi: datetime | None = None
+    c = log.columns if log.columns is not None else _columns_from_cases(log.cases)
+    if c.event_ids is not None:
+        _check_event_ids(c)
+    for level, attrs in (("event", c.event_attrs), ("case", c.case_attrs)):
+        for key, attr in attrs.items():
+            if not isinstance(attr.type, str):
+                raise AttributeTypeMismatch(
+                    f"{level} attribute {key!r} mixes {' and '.join(attr.type)} values"
+                )
+    order = np.lexsort((c.time_us, c.case))
+    if np.any(order != np.arange(len(order))):
+        c = replace(
+            c, case=c.case[order], activity=c.activity[order], resource=c.resource[order],
+            lifecycle=c.lifecycle[order], time_us=c.time_us[order],
+            source=order if c.source is None else c.source[order],
+            event_attrs={k: Attribute(a.type, a.present[order], a.values[order])
+                         for k, a in c.event_attrs.items()},
+        )
+    activities, activity = _sorted_codes(c.activities, c.activity)
+    resources, resource = _sorted_codes(c.resources, c.resource)
+    c = replace(c, activities=activities, activity=activity,
+                resources=resources, resource=resource)
+    return EventLog(meta=dict(log.meta), columns=c)
 
-    cases: dict[str, Case] = {}
-    for case in log.cases.values():
-        events = sorted(case.events, key=lambda e: e.timestamp)
-        for e in events:
-            owner = seen.get(e.event_id)
-            if owner == case.case_id:
-                raise DuplicateEventId(
-                    f"event id {e.event_id!r} occurs twice in case {case.case_id!r}"
-                )
-            if owner is not None:
-                raise EventInMultipleCases(
-                    f"event id {e.event_id!r} appears in cases {owner!r} and {case.case_id!r}"
-                )
+
+def _sorted_codes(names: tuple, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """The catalog in sorted order and the codes renumbered to match; -1 stays."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(names) + 1, dtype=np.int32)
+    rank[order] = np.arange(len(names), dtype=np.int32)
+    rank[-1] = -1
+    return tuple(names[i] for i in order), rank[codes]
+
+
+def _check_event_ids(c: LogColumns) -> None:
+    if len(set(c.event_ids)) == len(c.event_ids):
+        return
+    case_of = c.case if c.source is None else c.case[np.argsort(c.source)]
+    seen: dict[str, int] = {}
+    for event_id, code in zip(c.event_ids, case_of.tolist()):
+        owner = seen.get(event_id)
+        if owner is None:
+            seen[event_id] = code
+        elif owner == code:
+            raise DuplicateEventId(
+                f"event id {event_id!r} occurs twice in case {c.case_ids[code]!r}"
+            )
+        else:
+            raise EventInMultipleCases(
+                f"event id {event_id!r} appears in cases {c.case_ids[owner]!r} "
+                f"and {c.case_ids[code]!r}"
+            )
+
+
+def coded(values: list) -> tuple[tuple, np.ndarray]:
+    """Distinct values in first-appearance order and an int32 code per value.
+
+    ``None`` is not a value: its code is -1.
+    """
+    first: dict = {}
+    # each value's first row, in one C-level pass; ranking those rows gives the codes
+    rows = np.fromiter(map(first.setdefault, values, count()), np.int64, len(values))
+    heads, codes = np.unique(rows, return_inverse=True)
+    names = [values[i] for i in heads.tolist()]
+    if None in first:
+        none = names.index(None)
+        del names[none]
+        codes = np.where(codes == none, -1, codes - (codes > none))
+    return tuple(names), codes.astype(np.int32)
+
+
+def _columns_from_cases(cases: dict[str, Case]) -> LogColumns:
+    """Columns of an object-built log, in ingestion order."""
+    case_ids: list[str] = []
+    sizes: list[int] = []
+    events: list[Event] = []
+    case_values: dict[str, tuple[list, list]] = {}
+    for code, case in enumerate(cases.values()):
+        case_ids.append(case.case_id)
+        sizes.append(len(case.events))
+        for e in case.events:
             if e.case_id != case.case_id:
                 raise EventInMultipleCases(
                     f"event {e.event_id!r} carries case id {e.case_id!r} "
                     f"but is stored under case {case.case_id!r}"
                 )
-            seen[e.event_id] = case.case_id
-            activities.add(e.activity)
-            if e.resource is not None:
-                resources.add(e.resource)
-            _merge_types(event_types, e.attrs, where=f"event {e.event_id!r}")
-            if lo is None or e.timestamp < lo:
-                lo = e.timestamp
-            if hi is None or e.timestamp > hi:
-                hi = e.timestamp
-        _merge_types(case_types, case.attrs, where=f"case {case.case_id!r}")
-        cases[case.case_id] = replace(case, events=events)
-
-    return EventLog(
-        cases=cases,
-        activities=tuple(sorted(activities)),
-        resources=tuple(sorted(resources)),
-        event_attr_types=event_types,
-        case_attr_types=case_types,
-        span=None if lo is None else (lo, hi),
-        meta=dict(log.meta),
+        events += case.events
+        for key, value in case.attrs.items():
+            rows, values = case_values.setdefault(key, ([], []))
+            rows.append(code)
+            values.append(value)
+    n = len(events)
+    event_values: dict[str, tuple[list, list]] = {}
+    for i, e in enumerate(events):
+        for key, value in e.attrs.items():
+            rows, values = event_values.setdefault(key, ([], []))
+            rows.append(i)
+            values.append(value)
+    activities, activity = coded([e.activity for e in events])
+    resources, resource = coded([e.resource for e in events])
+    kinds = {name: i for i, name in enumerate(LIFECYCLES)}
+    return LogColumns(
+        case_ids=case_ids,
+        case=np.repeat(np.arange(len(case_ids), dtype=np.int32), sizes),
+        activities=activities,
+        activity=activity,
+        resources=resources,
+        resource=resource,
+        lifecycle=np.fromiter((kinds.get(e.lifecycle, 0) for e in events), np.int8, n),
+        time_us=np.fromiter((to_us(e.timestamp) for e in events), np.int64, n),
+        event_attrs={k: _object_column(n, *v) for k, v in event_values.items()},
+        case_attrs={k: _object_column(len(case_ids), *v) for k, v in case_values.items()},
+        event_ids=[e.event_id for e in events],
     )
 
 
-def _merge_types(table: dict[str, str], attrs: dict, where: str) -> None:
-    for key, value in attrs.items():
-        t = attribute_type(value)
-        prev = table.setdefault(key, t)
-        if prev != t:
-            raise AttributeTypeMismatch(
-                f"attribute {key!r} is {prev} elsewhere but {t} at {where}"
-            )
+def _object_column(n: int, rows: list[int], values: list) -> Attribute:
+    types = tuple(dict.fromkeys(map(attribute_type, values)))
+    vtype = types[0] if len(types) == 1 else types
+    if vtype == TIMESTAMP:
+        values = np.array([to_us(v) for v in values], dtype=np.int64).astype("datetime64[us]")
+    return Attribute.build(vtype, n, rows, values)

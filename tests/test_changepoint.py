@@ -329,3 +329,14 @@ def test_property_pruned_equals_unpruned(rows, beta, msl):
     assert fast.indices == slow.indices
     assert fast.total_cost == slow.total_cost
     assert fast.evaluations <= slow.evaluations
+
+
+def test_pruning_keeps_an_equal_cost_candidate_rounding_would_drop():
+    # Every admissible split of this row costs exactly 0; priced through
+    # different prefix sums, a candidate can come out an ulp above F(t).
+    x = 1.7088178741290943e-140
+    m = _matrix([[0.0, 0.0, x, x, x, x]])
+    fast = pelt(m, _cfg(0.0, msl=1))
+    slow = brute_force_optimal(m, 0.0, min_segment_length=1)
+    assert fast.indices == slow.indices == (3,)
+    assert fast.total_cost == slow.total_cost == 0.0

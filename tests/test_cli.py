@@ -303,3 +303,18 @@ def test_console_script_is_installed():
     proc = subprocess.run([exe, "--version"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "driftscope" in proc.stdout
+
+
+def test_csv_that_is_not_utf8_exits_3_naming_the_row(tmp_path, capsys):
+    log_path = tmp_path / "log.csv"
+    log_path.write_bytes(
+        b"case,activity,timestamp\n1,a,2021-06-15 12:30\n1,b\xff,2021-06-15 13:30\n"
+    )
+    mapping = CsvMapping(case_id_col="case", activity_col="activity", timestamp_col="timestamp")
+    rc = main(["extract", "--log", str(log_path),
+               "--mapping", str(_write_mapping(tmp_path, mapping)),
+               "--interval", "1h", "--spec", "data:event_count",
+               "--series-out", str(tmp_path / "series")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "cannot ingest" in err and "row 3" in err and "0xff" in err

@@ -1,5 +1,6 @@
 """Ingestion: CSV and XES parsing, export roundtrips, error reporting."""
 
+import csv
 from datetime import datetime
 
 import pytest
@@ -13,6 +14,7 @@ from driftscope.errors import (
     MissingColumn,
     MissingConceptName,
     NonFiniteNumber,
+    RowUnreadable,
     TimestampParse,
     XmlMalformed,
 )
@@ -411,3 +413,68 @@ def test_csv_of_claims_roundtrip(tmp_path, claims_log):
     write_csv(claims_log, MAPPING, path)
     again = parse_csv(path, MAPPING)
     assert logs_equivalent(claims_log, again)
+
+
+def test_parse_csv_invalid_utf8_names_the_row(tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_bytes(
+        b'case,activity,timestamp\nc1,a,2021-06-15 12:30\nc1,"b\n\xff",2021-06-15 12:40\n'
+    )
+    with pytest.raises(RowUnreadable) as err:
+        parse_csv(path, _mapping_no_resource())
+    assert isinstance(err.value, IngestionError) and err.value.row == 3
+    assert "row 3" in str(err.value)
+
+
+def test_parse_csv_field_over_the_csv_limit_names_the_row(tmp_path):
+    big = "x" * (csv.field_size_limit() + 1)
+    text = f"case,activity,timestamp\nc1,a,2021-06-15 12:30\nc1,\"{big}\",2021-06-15 12:40\n"
+    with pytest.raises(RowUnreadable) as err:
+        parse_csv(_write(tmp_path, "log.csv", text), _mapping_no_resource())
+    assert err.value.row == 3
+
+
+def test_parse_xes_bad_date_attribute_names_event_and_key(tmp_path):
+    doc = XES_DOC.replace('<boolean key="urgent" value="true"/>',
+                          '<date key="due" value="yesterday"/>')
+    with pytest.raises(TimestampParse) as err:
+        parse_xes(_write(tmp_path, "log.xes", doc))
+    assert err.value.row == 2
+    assert "event #2" in str(err.value) and "'due'" in str(err.value)
+    assert "'yesterday'" in str(err.value)
+
+
+NAIVE_XES_DOC = XES_DOC.replace("+00:00", "")
+
+
+def test_parse_xes_counts_skipped_list_and_container_attributes(tmp_path):
+    doc = NAIVE_XES_DOC.replace(
+        '<string key="channel" value="web"/>',
+        '<string key="channel" value="web"/><list key="tags"><string key="t" value="a"/></list>',
+    ).replace('<int key="age" value="44"/>',
+              '<int key="age" value="44"/><container key="c"><int key="n" value="1"/></container>')
+    log = parse_xes(_write(tmp_path, "log.xes", doc))
+    assert log.meta == {"skipped_container_attributes": 2}
+    assert log.cases["1"].attrs == {"channel": "web"}
+    assert log.cases["1"].events[0].attrs == {"age": 44.0}
+    assert parse_xes(_write(tmp_path, "plain.xes", NAIVE_XES_DOC)).meta == {}
+
+
+def test_parse_xes_counts_naive_stamps_mixed_with_aware(tmp_path):
+    # XES_DOC's first stamp is naive, its second carries an offset
+    log = parse_xes(_write(tmp_path, "log.xes", XES_DOC))
+    assert log.meta == {"naive_timestamps_among_aware": 1}
+    doc = XES_DOC.replace("2021-06-15T12:30:00", "2021-06-15T14:30:00+02:00")
+    log = parse_xes(_write(tmp_path, "aware.xes", doc))
+    assert log.meta == {}
+    assert log.cases["1"].events[0].timestamp == datetime(2021, 6, 15, 12, 30)
+
+
+def test_parse_csv_counts_naive_stamps_mixed_with_aware(tmp_path):
+    text = ("case,activity,timestamp\nc1,a,2021-06-15 12:30\nc1,b,2021-06-15T12:40:00Z\n"
+            "c1,c,2021-06-15T14:50:00+02:00\n")
+    log = parse_csv(_write(tmp_path, "log.csv", text), _mapping_no_resource())
+    assert log.meta == {"naive_timestamps_among_aware": 1}
+    log = parse_csv(_write(tmp_path, "aware.csv", text.replace("12:30", "12:30Z")),
+                    _mapping_no_resource())
+    assert log.meta == {}

@@ -1,0 +1,342 @@
+"""The columnar parsers against the object-building ones they replaced.
+
+``ingest_oracle`` holds the parsers as they were: one ``Event`` per row,
+validated event by event. For generated CSV files and XES documents, good
+and bad, both must give the same log (the event-table columns bit for bit,
+the catalogs, ``meta`` and every field of the object view) or fail with the
+same exception class at the same row or event. Ingest notes the oracle did
+not keep (``NEW_NOTES``) are left out of the ``meta`` comparison, and a row
+or event number is compared where the oracle gives one. Fuzzed input must
+fail, if at all, with an ingestion or validation error (exit 3).
+"""
+
+from __future__ import annotations
+
+from datetime import datetime
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import ingest_oracle as oracle
+from driftscope.errors import IngestionError, NonFiniteNumber, TimestampParse, ValidationError
+from driftscope.ingest import CsvMapping, _parse_stamps, parse_csv, parse_timestamp, parse_xes
+from driftscope.model import EventLog, sort_and_validate, to_us
+
+NEW_NOTES = ("skipped_container_attributes", "naive_timestamps_among_aware")
+
+SETTINGS = settings(max_examples=120, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+MAPPING = CsvMapping(
+    case_id_col="case", activity_col="activity", timestamp_col="ts",
+    resource_col="res", lifecycle_col="life",
+    event_attr_cols=("amount", "flag", "note", "when"), case_attr_cols=("budget", "region"),
+)
+
+
+def _outcome(parse, path):
+    try:
+        return parse(path), None
+    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+        return None, exc
+
+
+def _place(exc):
+    return getattr(exc, "row", None) or getattr(exc, "event_index", None)
+
+
+def assert_same(path, new_parse, old_parse):
+    new, new_err = _outcome(new_parse, path)
+    old, old_err = _outcome(old_parse, path)
+    if old_err is not None or new_err is not None:
+        assert type(new_err) is type(old_err), (new_err, old_err)
+        if _place(old_err) is not None:
+            assert _place(new_err) == _place(old_err), (new_err, old_err)
+        return
+    assert_same_log(new, old)
+
+
+def assert_same_log(new: EventLog, old) -> None:
+    assert new.activities == old.activities
+    assert new.resources == old.resources
+    assert new.event_attr_types == old.event_attr_types
+    assert new.case_attr_types == old.case_attr_types
+    assert new.span == old.span
+    assert {k: v for k, v in new.meta.items() if k not in NEW_NOTES} == old.meta
+    assert (new.case_count, new.event_count) == (old.case_count, old.event_count)
+    for (new_id, new_case), (old_id, old_case) in zip(new.cases.items(), old.cases.items()):
+        assert new_id == old_id
+        assert new_case.attrs == old_case.attrs
+        assert new_case.events == old_case.events
+    # the same events through the object route give the same table, bit for bit
+    rebuilt = sort_and_validate(EventLog(cases=dict(old.cases), meta=dict(old.meta)))
+    a, b = new.table, rebuilt.table
+    for name in ("offset_us", "case", "activity", "resource", "prev", "case_end",
+                 "case_duration_s", "service_s"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    for level, types in (("event", new.event_attr_types), ("case", new.case_attr_types)):
+        for key in types:
+            for x, y in zip(a.attr_column(key, level), b.attr_column(key, level)):
+                assert x.tobytes() == y.tobytes(), (level, key)
+
+
+# ------------------------------------------------------------------- CSV
+
+#: Per column, cells that parse and cells that fail (an empty, unparseable or
+#: non-finite value); each cell is a failing one with probability 1/60.
+_CELLS = {
+    "case": (["c1", "c2", " c3", "c4 ", "c,5"], [""]),
+    "activity": (["a", "b", "mail; send", "line\nbreak"], ["", " "]),
+    "ts": (["2021-06-15 12:30", "2021-06-15T12:30:00", "2021-06-15T12:31:07.250",
+            "2021-06-15T12:32:00.000001", "2021-06-16", "2021-06-15T12:30:00Z",
+            "2021-06-15T14:30:00+02:00", "2021-06-15T12:30:00.5", " 2021-06-15 13:00 ",
+            "20210615T133000", "2021-06-15T12:30:00,5"],
+           ["yesterday", "", "NaT", "2021-06", "2021-06-15T25:00", "2021-02-30T00:00:00",
+            "0000-01-01"]),
+    "res": (["", "Peter", "Sophia", " Peter "], []),
+    "life": (["", "start", "complete", "COMPLETE", "schedule"], []),
+    "amount": (["", "1", "2.5", "-0", "1e3", "x", "true"], ["nan", "inf"]),
+    "flag": (["", "true", "False", "TRUE", "yes"], []),
+    "note": (["", "web", "phone", '"quoted"', "12"], []),
+    "when": (["", "2021-06-15", "2021-06-15T10:00:00+01:00", "soon"], []),
+    "budget": (["", "1", "1.0", "2"], ["-inf"]),
+    "region": (["", "north", "south"], []),
+}
+
+
+@st.composite
+def _cell(draw, col):
+    good, bad = _CELLS[col]
+    return draw(st.sampled_from(bad if bad and draw(st.integers(0, 59)) == 0 else good))
+
+
+@st.composite
+def csv_texts(draw):
+    header = list(_CELLS)
+    if draw(st.booleans()):
+        header = draw(st.permutations(header))
+    rows = [header]
+    for _ in range(draw(st.integers(0, 8))):
+        row = [draw(_cell(col)) for col in header]
+        if draw(st.integers(0, 15)) == 0:
+            row = row[:draw(st.integers(0, len(row)))]
+        rows.append(row)
+    out = []
+    for row in rows:
+        out.append(",".join(
+            '"' + cell.replace('"', '""') + '"' if any(c in cell for c in ',"\n') else cell
+            for cell in row))
+    return "\n".join(out) + draw(st.sampled_from(["\n", "", "\r\n"]))
+
+
+@SETTINGS
+@given(csv_texts())
+def test_property_csv_parity_with_object_parser(tmp_path, text):
+    path = tmp_path / "log.csv"
+    path.write_text(text, encoding="utf-8")
+    assert_same(path, lambda p: parse_csv(p, MAPPING), lambda p: oracle.parse_csv(p, MAPPING))
+
+
+def test_csv_parity_on_a_generated_log(tmp_path):
+    from driftscope.cli import GENERATOR_MAPPING
+    from driftscope.ingest import write_csv
+    from driftscope.synthetic import GeneratorConfig, generate
+
+    path = tmp_path / "log.csv"
+    write_csv(generate(GeneratorConfig(seed=3, days=12, cases_per_day=7, drift_day=6)),
+              GENERATOR_MAPPING, path)
+    assert_same(path, lambda p: parse_csv(p, GENERATOR_MAPPING),
+                lambda p: oracle.parse_csv(p, GENERATOR_MAPPING))
+
+
+# ------------------------------------------------------------------- XES
+
+#: XES attributes (key, tag, value) that parse and ones that fail; an
+#: attribute is a failing one with probability 1/12.
+_STANDARD = (
+    [("concept:name", "string", "register"), ("concept:name", "string", "pay"),
+     ("concept:name", "int", "7"), ("time:timestamp", "date", "2021-06-15T12:30:00"),
+     ("time:timestamp", "date", "2021-06-15T13:30:00.123+01:00"),
+     ("time:timestamp", "date", "2021-06-15T11:00:00Z"),
+     ("time:timestamp", "date", "2021-06-15T11:00"),
+     ("org:resource", "string", "Peter"), ("org:resource", "boolean", "true"),
+     ("lifecycle:transition", "string", "start"),
+     ("lifecycle:transition", "string", "COMPLETE"),
+     ("lifecycle:transition", "string", "schedule")],
+    [("concept:name", "string", " "), ("time:timestamp", "date", "June"),
+     ("time:timestamp", "string", "2021-06-15")],
+)
+_TYPED = (
+    [("note", "string", "web"), ("note", "string", ""), ("amount", "int", "3"),
+     ("amount", "float", "2.5"), ("flag", "boolean", "true"), ("flag", "boolean", "no"),
+     ("due", "date", "2021-06-15"), ("ref", "id", "1")],
+    [("amount", "float", "NaN"), ("amount", "int", "x"), ("due", "date", "yesterday"),
+     ("amount", "string", "text")],
+)
+_OTHER = [
+    '<list key="l"><string key="x" value="1"/></list>',
+    '<container key="c"><int key="n" value="2"/></container>',
+    '<string key="nested" value="a"><string key="inner" value="b"/></string>',
+    '<string value="no key"/>',
+]
+
+
+@st.composite
+def _attr(draw, standard):
+    kind = draw(st.integers(0, 9))
+    if kind == 4:
+        return draw(st.sampled_from(_OTHER))
+    good, bad = _STANDARD if kind < 4 and standard else _TYPED
+    key, tag, value = draw(st.sampled_from(bad if draw(st.integers(0, 11)) == 0 else good))
+    return f'<{tag} key="{key}" value="{value}"/>'
+
+
+@st.composite
+def _event(draw):
+    parts = [
+        '<string key="concept:name" value="' + draw(st.sampled_from(["a", "b", "c"])) + '"/>',
+        '<date key="time:timestamp" value="2021-06-15T'
+        + draw(st.sampled_from(["08:00:00", "09:30:00", "09:30:00+01:00", "10:15:00.5"]))
+        + '"/>',
+    ]
+    if draw(st.integers(0, 15)) == 0:
+        parts = parts[draw(st.integers(0, 1)):][:1]
+    parts += draw(st.lists(_attr(True), max_size=4))
+    return "<event>" + "".join(draw(st.permutations(parts))) + "</event>"
+
+
+@st.composite
+def xes_documents(draw):
+    traces = []
+    for t in range(draw(st.integers(0, 4))):
+        name = draw(st.sampled_from(
+            [f'<string key="concept:name" value="T{t}"/>'] * 6
+            + ['<string key="concept:name" value="T0"/>', '<string key="concept:name" value=""/>',
+               '<int key="concept:name" value="0"/>', ""]))
+        attrs = [name] + draw(st.lists(_attr(False), max_size=2))
+        events = draw(st.lists(_event(), max_size=4))
+        body = draw(st.permutations(attrs + events)) if draw(st.booleans()) else attrs + events
+        traces.append("<trace>" + "".join(body) + "</trace>")
+    ns = draw(st.sampled_from(["", ' xmlns="http://www.xes-standard.org/"']))
+    glob = '<global scope="event"><string key="concept:name" value="x"/></global>'
+    return f'<?xml version="1.0" encoding="UTF-8"?><log{ns}>{glob}{"".join(traces)}</log>'
+
+
+@SETTINGS
+@given(xes_documents())
+def test_property_xes_parity_with_object_parser(tmp_path, doc):
+    path = tmp_path / "log.xes"
+    path.write_text(doc, encoding="utf-8")
+    assert_same(path, parse_xes, oracle.parse_xes)
+
+
+def test_xes_trace_attributes_are_checked_before_the_trace_events(tmp_path):
+    # the bad event comes first in the document, the bad trace attribute after it
+    doc = """<log><trace><string key="concept:name" value="t"/>
+      <event><string key="concept:name" value="a"/><date key="time:timestamp" value="x"/></event>
+      <float key="budget" value="nan"/></trace></log>"""
+    path = tmp_path / "log.xes"
+    path.write_text(doc, encoding="utf-8")
+    assert_same(path, parse_xes, oracle.parse_xes)
+    with pytest.raises(NonFiniteNumber):
+        parse_xes(path)
+
+
+# ------------------------------------------------------------------- fuzz
+
+def _fails_cleanly(parse, path) -> None:
+    try:
+        parse(path)
+    except (IngestionError, ValidationError):
+        pass
+
+
+def _mutated(draw, text: str) -> bytes:
+    data = text.encode("utf-8")
+    how = draw(st.sampled_from(["truncate", "quote", "bytes", "random"]))
+    at = draw(st.integers(0, len(data)))
+    if how == "truncate":
+        return data[:at]
+    if how == "quote":
+        return data[:at] + draw(st.sampled_from([b'"', b"'", b"<", b"&", b">"])) + data[at:]
+    if how == "bytes":
+        return data[:at] + draw(st.binary(min_size=1, max_size=6)) + data[at:]
+    return draw(st.binary(max_size=200))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_fuzzed_csv_fails_only_with_ingestion_errors(tmp_path, data):
+    path = tmp_path / "log.csv"
+    path.write_bytes(_mutated(data.draw, data.draw(csv_texts())))
+    _fails_cleanly(lambda p: parse_csv(p, MAPPING), path)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_fuzzed_xes_fails_only_with_ingestion_errors(tmp_path, data):
+    path = tmp_path / "log.xes"
+    path.write_bytes(_mutated(data.draw, data.draw(xes_documents())))
+    _fails_cleanly(parse_xes, path)
+
+
+# -------------------------------------------------------------- stamps
+
+@pytest.mark.parametrize("text", ["", "NaT", "2021-01", " "])
+def test_stamps_numpy_accepts_still_fail_naming_the_row(tmp_path, text):
+    path = tmp_path / "log.csv"
+    path.write_text(f"case,activity,ts\nc1,a,2021-01-04 08:00:00\nc1,b,{text}\n", encoding="utf-8")
+    mapping = CsvMapping(case_id_col="case", activity_col="activity", timestamp_col="ts")
+    with pytest.raises(TimestampParse) as err:
+        parse_csv(path, mapping)
+    assert err.value.row == 3 and "row 3" in str(err.value)
+
+
+def _agree_with_parse_timestamp(texts: list[str]) -> None:
+    """``_parse_stamps`` gives parse_timestamp's microseconds, and fails where it first fails."""
+    us, _, bad = _parse_stamps(texts)
+    for i, text in enumerate(texts):
+        try:
+            expected = to_us(parse_timestamp(text))
+        except Exception:  # noqa: BLE001 - any failure must be the first one reported
+            assert bad is not None and bad[0] == i, (text, bad)
+            return
+        assert int(us[i]) == expected, text
+    assert bad is None
+
+
+@pytest.mark.parametrize("text", ["0000-01-01", "0000-01-01T00:00:00", "2021-02-29",
+                                  "2021-01-04T24:00", "2021-13-01 00:00:00", "2021-01-04t08:00",
+                                  "2021-01-04T08:00:00.1234", "2021-01-04_08:00"])
+def test_stamps_numpy_would_read_differently_go_to_parse_timestamp(text):
+    _agree_with_parse_timestamp(["2021-01-04", text, "2021-01-05"])
+
+
+@pytest.mark.parametrize("text", ["2021-01-04 08:00:00", "2021-01-04T08:00:00.5",
+                                  "20210104T080000", "2021-01-04T08:00:00.123456",
+                                  "2021-01-04", "2021-01-04T08:00", "0001-01-01T00:00:00",
+                                  "9999-12-31 23:59:59.999"])
+def test_stamp_shapes_parse_as_parse_timestamp_does(text):
+    _agree_with_parse_timestamp([text, text])
+
+
+_STAMP_CHARS = st.sampled_from(list("0123456789") * 3 + list("-:T .Z+,t"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.one_of(
+        st.text(_STAMP_CHARS, max_size=28),
+        st.datetimes(min_value=datetime(1, 1, 2)).map(
+            lambda d: d.isoformat(sep=" " if d.microsecond % 2 else "T")),
+        st.tuples(st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32),
+                  st.integers(0, 25), st.integers(0, 61)).map(
+            lambda p: "%04d-%02d-%02dT%02d:%02d" % p),
+    ),
+    max_size=6,
+))
+def test_property_stamp_gate_agrees_with_parse_timestamp(texts):
+    _agree_with_parse_timestamp(texts)
