@@ -35,40 +35,33 @@ class MissingColumn(IngestionError):
     """A column referenced by the CSV mapping is absent from the header."""
 
 
-class TimestampParse(IngestionError):
-    """A timestamp value could not be parsed.
-
-    ``row`` carries the 1-based data location (CSV row or XES event index)
-    so the offending record can be found without a debugger.
-    """
+class RowError(IngestionError):
+    """An input record is bad; ``row`` is its 1-based place (CSV row or XES
+    event number), so it can be found without a debugger, or None."""
 
     def __init__(self, message: str, row: int | None = None):
         super().__init__(message)
         self.row = row
 
 
-class NonFiniteNumber(IngestionError):
-    """A number is NaN or infinite; ``key`` is its column or attribute, ``row`` its CSV row."""
+class TimestampParse(RowError):
+    """A timestamp value could not be parsed."""
+
+
+class NonFiniteNumber(RowError):
+    """A number is NaN or infinite; ``key`` is its column or attribute."""
 
     def __init__(self, where: str, key: str, value: str, row: int | None = None):
-        super().__init__(f"{where} {key!r} holds {value!r}, which is not a finite number")
-        self.key, self.row = key, row
+        super().__init__(f"{where} {key!r} holds {value!r}, which is not a finite number", row)
+        self.key = key
 
 
-class EmptyValue(IngestionError):
-    """A CSV row leaves its case id or activity cell empty; ``row`` is its CSV row."""
-
-    def __init__(self, message: str, row: int | None = None):
-        super().__init__(message)
-        self.row = row
+class EmptyValue(RowError):
+    """A CSV row leaves its case id or activity cell empty."""
 
 
-class RowUnreadable(IngestionError):
-    """A CSV record is not UTF-8 or cannot be split into fields; ``row`` is its row."""
-
-    def __init__(self, message: str, row: int | None = None):
-        super().__init__(message)
-        self.row = row
+class RowUnreadable(RowError):
+    """A CSV record is not UTF-8 or cannot be split into fields."""
 
 
 class DuplicateTraceId(IngestionError):

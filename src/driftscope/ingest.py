@@ -1,7 +1,7 @@
 """Event-log ingestion and export: delimited text files and XES.
 
-Both parsers write straight into the columns of a
-:class:`~driftscope.model.LogColumns` and build no per-event objects. The
+Both parsers hand plain per-event lists to
+:func:`~driftscope.model.columnar_log` and build no per-event objects. The
 CSV reader understands RFC-4180 quoting with a configurable delimiter; it
 reads all rows once and transposes them into columns. A :class:`CsvMapping`
 names the columns holding the mandatory fields (case id, activity,
@@ -70,8 +70,8 @@ from .model import (
     TIMESTAMP,
     Attribute,
     EventLog,
-    LogColumns,
     coded,
+    columnar_log,
     decode,
     sort_and_validate,
     to_us,
@@ -81,8 +81,6 @@ KEY_ACTIVITY = "concept:name"
 KEY_TIMESTAMP = "time:timestamp"
 KEY_RESOURCE = "org:resource"
 KEY_LIFECYCLE = "lifecycle:transition"
-
-_KINDS = {name: i for i, name in enumerate(LIFECYCLES) if name}
 
 
 @dataclass
@@ -287,7 +285,7 @@ def _csv_values(texts: list[str], col: str):
     except ValueError:
         us, _, bad = _parse_stamps(values)
         if bad is None:
-            return TIMESTAMP, rows, us.astype("datetime64[us]"), None
+            return TIMESTAMP, rows, us, None
         return TEXT, rows, np.array(values, dtype=object), None
     bad = rows[~np.isfinite(numbers)]
     if len(bad):
@@ -329,33 +327,24 @@ def parse_csv(path: str | Path, mapping: CsvMapping) -> EventLog:
     if failures:
         raise min(failures, key=lambda f: f[:2])[2]
 
-    meta: dict = {}
-    lifecycle = np.zeros(n, dtype=np.int8)
-    if mapping.lifecycle_col:
-        lifecycle, meta["ignored_lifecycle_transitions"] = _lifecycles(
-            [t or None for t in cols[mapping.lifecycle_col]])
     case_ids, case = coded(case_text)
     event_attrs, case_attrs, conflicts = {}, {}, 0
     for (col, per_event), (vtype, rows, values, _) in zip(attr_cols, typed):
         if per_event and len(rows):
-            event_attrs[col] = Attribute.build(vtype, n, rows, values)
+            event_attrs[col] = rows, vtype, values
         elif len(rows):
             owners = case[rows]
-            first = np.unique(owners, return_index=True)[1]
-            case_attrs[col] = attr = Attribute.build(vtype, len(case_ids), owners[first],
-                                                     values[first])
-            conflicts += int(np.count_nonzero(values != attr.values[owners]))
-    meta["case_attr_conflicts"] = conflicts
-    meta["naive_timestamps_among_aware"] = n - int(aware.sum()) if aware.any() else 0
-    resource_text = cols[mapping.resource_col] if mapping.resource_col else [""] * n
-    columns = LogColumns(list(case_ids), case, *coded(act_text),
-                         *coded([t or None for t in resource_text]), lifecycle, time_us,
-                         event_attrs, case_attrs)
-    return sort_and_validate(EventLog(meta=_nonzero(meta), columns=columns))
-
-
-def _nonzero(counts: dict) -> dict:
-    return {key: count for key, count in counts.items() if count}
+            _, first, inverse = np.unique(owners, return_index=True, return_inverse=True)
+            case_attrs[col] = owners[first], vtype, values[first]
+            conflicts += int(np.count_nonzero(values != values[first][inverse]))
+    meta = {"case_attr_conflicts": conflicts,
+            "naive_timestamps_among_aware": n - int(aware.sum()) if aware.any() else 0}
+    # an empty resource or lifecycle cell is no value
+    texts = {col: [t or None for t in cols[col]]
+             for col in (mapping.resource_col, mapping.lifecycle_col) if col}
+    return sort_and_validate(columnar_log(
+        case_ids, case, act_text, texts.get(mapping.resource_col),
+        texts.get(mapping.lifecycle_col), time_us, event_attrs, case_attrs, meta))
 
 
 def write_csv(log: EventLog, mapping: CsvMapping, path: str | Path) -> None:
@@ -497,7 +486,7 @@ def _xes_values(key: str, tags: list[str], texts: list[str], where):
                 values[i] = float(texts[i])
             except ValueError:
                 failures.append((i, XmlMalformed(
-                    f"attribute {key!r} has non-numeric value {texts[i]!r}")))
+                    f"{where(i)[0]}, attribute {key!r} has non-numeric value {texts[i]!r}")))
                 break
             if not math.isfinite(values[i]):
                 failures.append((i, NonFiniteNumber(f"{where(i)[0]}, attribute", key, texts[i])))
@@ -581,33 +570,14 @@ def parse_xes(path: str | Path) -> EventLog:
         raise EmptyLog(f"{path}: document contains no events")
     time_us = np.zeros(n, dtype=np.int64)
     time_us[owners] = values
-    lifecycle, ignored = _lifecycles(_standard(finals, KEY_LIFECYCLE, n))
-    meta = {"ignored_lifecycle_transitions": ignored,
-            "skipped_container_attributes": skipped,
+    meta = {"skipped_container_attributes": skipped,
             "naive_timestamps_among_aware": n - int(aware.sum()) if aware.any() else 0}
-    resource = coded(_standard(finals, KEY_RESOURCE, n))
+    resource, lifecycle = _standard(finals, KEY_RESOURCE, n), _standard(finals, KEY_LIFECYCLE, n)
     attrs = {False: {}, True: {}}
     for (per_event, key), (owners, types, values, _) in finals.items():
-        kinds = tuple(dict.fromkeys(types))
-        vtype = kinds[0] if len(kinds) == 1 else kinds
-        if vtype == TIMESTAMP:
-            values = np.array(values, dtype=np.int64).astype("datetime64[us]")
-        elif vtype == TEXT or len(kinds) > 1:
-            values = np.array(values, dtype=object)
-        attrs[per_event][key] = Attribute.build(vtype, n if per_event else len(case_ids),
-                                                owners, values)
-    columns = LogColumns(case_ids, event_trace, *coded(activity), *resource, lifecycle,
-                         time_us, attrs[True], attrs[False])
-    return sort_and_validate(EventLog(meta=_nonzero(meta), columns=columns))
-
-
-def _lifecycles(texts: list) -> tuple[np.ndarray, int]:
-    """Each text's index in ``LIFECYCLES`` (case-blind; 0 for None and others), and
-    how many texts were neither None nor a known lifecycle."""
-    names, codes = coded(texts)
-    kinds = np.array([_KINDS.get(name.lower(), 0) for name in names] + [0], dtype=np.int8)
-    lifecycle = kinds[codes]
-    return lifecycle, int(np.count_nonzero(codes >= 0)) - int(np.count_nonzero(lifecycle))
+        attrs[per_event][key] = owners, types, values
+    return sort_and_validate(columnar_log(case_ids, event_trace, activity, resource, lifecycle,
+                                          time_us, attrs[True], attrs[False], meta))
 
 
 def _final(finals: dict, per_event: bool, key: str):

@@ -7,15 +7,17 @@ Attribute values are restricted to numbers, text, booleans and timestamps,
 and a given key must carry one type throughout a log.
 
 A validated log stores its events once, as the parallel arrays of a
-:class:`LogColumns`. The parsers write those arrays directly; a log built
-from :class:`Case` and :class:`Event` objects (``EventLog()``, then
-``log.cases[...] = Case(...)``) is turned into them by
-:func:`sort_and_validate`, which also orders the events, checks identifiers
-and attribute types and derives the catalogs (activity alphabet, resource
-set, attribute tables, time span). After that the log is treated as
-immutable. The rest of the package reads it through :attr:`EventLog.table`;
-``log.cases`` and :meth:`EventLog.iter_events` build ``Case``/``Event``
-objects from the columns on demand, case by case, and keep none of them.
+:class:`LogColumns`. Every source hands its per-event values to
+:func:`columnar_log`, which codes the catalogs, reads the lifecycles and
+stores the attributes: the parsers, the generator, and
+:func:`sort_and_validate` for a log built from :class:`Case` and
+:class:`Event` objects (``EventLog()``, then ``log.cases[...] = Case(...)``).
+:func:`sort_and_validate` then orders the events, checks identifiers and
+attribute types and sorts the catalogs (activity alphabet, resource set).
+After that the log is treated as immutable. The rest of the package reads
+it through :attr:`EventLog.table`; ``log.cases`` and
+:meth:`EventLog.iter_events` build ``Case``/``Event`` objects from the
+columns on demand, case by case, and keep none of them.
 """
 
 from __future__ import annotations
@@ -111,14 +113,24 @@ class Attribute(NamedTuple):
     values: np.ndarray
 
     @classmethod
-    def build(cls, vtype, n: int, rows, values) -> "Attribute":
-        """The column of ``n`` entries holding ``values`` at ``rows``."""
+    def of(cls, n: int, rows, types, values) -> "Attribute":
+        """The column of ``n`` entries holding typed records: ``values[i]`` at
+        entry ``rows[i]``. ``types`` is one type for every record or a list of
+        one type per record; timestamps come as integer microseconds since
+        :data:`EPOCH`."""
+        if not isinstance(types, str):
+            kinds = tuple(dict.fromkeys(types))
+            types = kinds[0] if len(kinds) == 1 else kinds
+        dtype, empty = _STORAGE.get(types, (object, None))
+        if types == TIMESTAMP:
+            values = np.asarray(values, dtype=np.int64).astype(dtype)
+        elif dtype is object:
+            values = np.asarray(values, dtype=object)
         present = np.zeros(n, dtype=bool)
         present[rows] = True
-        dtype, empty = _STORAGE.get(vtype, (object, None))
         column = np.full(n, empty, dtype=dtype)
         column[rows] = values
-        return cls(vtype, present, column)
+        return cls(types, present, column)
 
 
 _STORAGE = {NUMBER: (np.float64, np.nan), BOOLEAN: (bool, False),
@@ -362,6 +374,45 @@ class EventTable:
         return out
 
 
+def columnar_log(case_ids: list[str], case: np.ndarray, activity: list[str],
+                 resource: list | None, lifecycle: list | None, time_us: np.ndarray,
+                 event_attrs: dict, case_attrs: dict, meta: dict,
+                 event_ids: list[str] | None = None) -> EventLog:
+    """An unvalidated log of per-event values in ingestion order, for
+    :func:`sort_and_validate`; every way of building a log goes through here.
+
+    ``case`` codes each event into ``case_ids``. ``resource`` and
+    ``lifecycle`` hold a text or None per event; None for the whole list
+    means the log has no such field. A lifecycle of start or complete is read
+    without regard to case; any other text is dropped and counted in
+    ``ignored_lifecycle_transitions``. ``event_attrs`` and ``case_attrs`` map
+    each key to its typed records ``(rows, types, values)`` as
+    :meth:`Attribute.of` takes them. Of ``meta``'s counts, only the non-zero
+    ones are kept. ``event_ids`` defaults to ``e1``, ``e2``, ...
+    """
+    n = len(time_us)
+    kind, ignored = np.zeros(n, dtype=np.int8), 0
+    if lifecycle is not None:
+        names, codes = coded(lifecycle)
+        lower = [str(name).lower() for name in names]
+        known = [LIFECYCLES.index(k) if k in LIFECYCLES else 0 for k in lower]
+        kind = np.array(known + [0], dtype=np.int8)[codes]  # code -1 (None) takes the 0
+        ignored = int(np.count_nonzero(codes >= 0)) - int(np.count_nonzero(kind))
+    note = "ignored_lifecycle_transitions"
+    counts = {**meta, note: meta.get(note, 0) + ignored}
+    if resource is None:
+        resources, resource = (), np.full(n, -1, dtype=np.int32)
+    else:
+        resources, resource = coded(resource)
+    columns = LogColumns(
+        list(case_ids), case, *coded(activity), resources, resource, kind, time_us,
+        {key: Attribute.of(n, *records) for key, records in event_attrs.items()},
+        {key: Attribute.of(len(case_ids), *records) for key, records in case_attrs.items()},
+        event_ids=event_ids,
+    )
+    return EventLog(meta={key: value for key, value in counts.items() if value}, columns=columns)
+
+
 def sort_and_validate(log: EventLog) -> EventLog:
     """Order events, check identifiers and attribute types, derive the catalogs.
 
@@ -371,7 +422,26 @@ def sort_and_validate(log: EventLog) -> EventLog:
     :class:`EventInMultipleCases` when it appears across cases, and
     :class:`AttributeTypeMismatch` when one attribute key mixes types.
     """
-    c = log.columns if log.columns is not None else _columns_from_cases(log.cases)
+    if log.columns is None:  # built from Case and Event objects
+        cases, events = list(log.cases.values()), []
+        for case in cases:
+            for e in case.events:
+                if e.case_id != case.case_id:
+                    raise EventInMultipleCases(
+                        f"event {e.event_id!r} carries case id {e.case_id!r} "
+                        f"but is stored under case {case.case_id!r}"
+                    )
+            events += case.events
+        log = columnar_log(
+            [case.case_id for case in cases],
+            np.repeat(np.arange(len(cases), dtype=np.int32), [len(case.events) for case in cases]),
+            [e.activity for e in events], [e.resource for e in events],
+            [e.lifecycle for e in events],
+            np.fromiter((to_us(e.timestamp) for e in events), np.int64, len(events)),
+            _records([e.attrs for e in events]), _records([case.attrs for case in cases]),
+            log.meta, [e.event_id for e in events],
+        )
+    c = log.columns
     if c.event_ids is not None:
         _check_event_ids(c)
     for level, attrs in (("event", c.event_attrs), ("case", c.case_attrs)):
@@ -442,54 +512,14 @@ def coded(values: list) -> tuple[tuple, np.ndarray]:
     return tuple(names), codes.astype(np.int32)
 
 
-def _columns_from_cases(cases: dict[str, Case]) -> LogColumns:
-    """Columns of an object-built log, in ingestion order."""
-    case_ids: list[str] = []
-    sizes: list[int] = []
-    events: list[Event] = []
-    case_values: dict[str, tuple[list, list]] = {}
-    for code, case in enumerate(cases.values()):
-        case_ids.append(case.case_id)
-        sizes.append(len(case.events))
-        for e in case.events:
-            if e.case_id != case.case_id:
-                raise EventInMultipleCases(
-                    f"event {e.event_id!r} carries case id {e.case_id!r} "
-                    f"but is stored under case {case.case_id!r}"
-                )
-        events += case.events
-        for key, value in case.attrs.items():
-            rows, values = case_values.setdefault(key, ([], []))
-            rows.append(code)
-            values.append(value)
-    n = len(events)
-    event_values: dict[str, tuple[list, list]] = {}
-    for i, e in enumerate(events):
-        for key, value in e.attrs.items():
-            rows, values = event_values.setdefault(key, ([], []))
-            rows.append(i)
-            values.append(value)
-    activities, activity = coded([e.activity for e in events])
-    resources, resource = coded([e.resource for e in events])
-    kinds = {name: i for i, name in enumerate(LIFECYCLES)}
-    return LogColumns(
-        case_ids=case_ids,
-        case=np.repeat(np.arange(len(case_ids), dtype=np.int32), sizes),
-        activities=activities,
-        activity=activity,
-        resources=resources,
-        resource=resource,
-        lifecycle=np.fromiter((kinds.get(e.lifecycle, 0) for e in events), np.int8, n),
-        time_us=np.fromiter((to_us(e.timestamp) for e in events), np.int64, n),
-        event_attrs={k: _object_column(n, *v) for k, v in event_values.items()},
-        case_attrs={k: _object_column(len(case_ids), *v) for k, v in case_values.items()},
-        event_ids=[e.event_id for e in events],
-    )
-
-
-def _object_column(n: int, rows: list[int], values: list) -> Attribute:
-    types = tuple(dict.fromkeys(map(attribute_type, values)))
-    vtype = types[0] if len(types) == 1 else types
-    if vtype == TIMESTAMP:
-        values = np.array([to_us(v) for v in values], dtype=np.int64).astype("datetime64[us]")
-    return Attribute.build(vtype, n, rows, values)
+def _records(dicts: list[dict]) -> dict[str, tuple[list, list, list]]:
+    """The typed records of each key of a list of attribute dicts, row ``i``
+    being ``dicts[i]``."""
+    out: dict[str, tuple[list, list, list]] = {}
+    for row, attrs in enumerate(dicts):
+        for key, value in attrs.items():
+            rows, types, values = out.setdefault(key, ([], [], []))
+            rows.append(row)
+            types.append(attribute_type(value))
+            values.append(to_us(value) if types[-1] == TIMESTAMP else value)
+    return out

@@ -22,9 +22,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from itertools import cycle, islice
+
+import numpy as np
 
 from .errors import ConfigInvalid
-from .model import Case, Event, EventLog, sort_and_validate
+from .model import NUMBER, EventLog, columnar_log, sort_and_validate, to_us
 
 ACTIVITY_REGISTER = "register"
 ACTIVITY_SUBMIT = "submit_claim"
@@ -91,36 +94,15 @@ def available_channels(age: float, config: GeneratorConfig) -> list[str]:
 def generate(config: GeneratorConfig) -> EventLog:
     """Generate and validate a synthetic claim handling log."""
     rng = random.Random(config.seed)
-    log = EventLog()
-    event_serial = 0
-    resource_serial = 0
-
-    def next_resource() -> str:
-        nonlocal resource_serial
-        r = config.resource_pool[resource_serial % len(config.resource_pool)]
-        resource_serial += 1
-        return r
-
-    def emit(case: Case, activity: str, ts: datetime, attrs: dict | None = None) -> None:
-        nonlocal event_serial
-        event_serial += 1
-        case.events.append(
-            Event(
-                event_id=f"e{event_serial}",
-                case_id=case.case_id,
-                activity=activity,
-                timestamp=ts,
-                resource=next_resource(),
-                attrs=attrs or {},
-            )
-        )
-
+    case_ids: list[str] = []
+    activity: list[str] = []
+    stamps: list[datetime] = []
+    ages: list[float] = []
     for day in range(1, config.days + 1):
         day_start = config.start + timedelta(days=day - 1)
         age_mean = config.pre_age_mean if day < config.drift_day else config.post_age_mean
         for case_no in range(1, config.cases_per_day + 1):
-            case = Case(case_id=f"c{day:04d}_{case_no:03d}")
-            log.cases[case.case_id] = case
+            case_ids.append(f"c{day:04d}_{case_no:03d}")
 
             # The very first register event anchors the interval grid at
             # exactly 08:00, so every other timing window below stays inside
@@ -131,20 +113,21 @@ def generate(config: GeneratorConfig) -> EventLog:
                 register_hour = rng.uniform(8.0, 10.0)
             t_register = day_start + timedelta(hours=register_hour)
             age = _truncated_age(rng, age_mean, config.age_stddev)
-            emit(case, ACTIVITY_REGISTER, t_register, {"age": age})
-
+            ages.append(age)
             channel = rng.choice(available_channels(age, config))
             t_notify = t_register + timedelta(hours=rng.uniform(24.0, 36.0))
-            emit(case, channel, t_notify)
-
             t_submit = t_notify + timedelta(hours=rng.uniform(1.0, 2.0))
-            emit(case, ACTIVITY_SUBMIT, t_submit)
-
             t_decide = t_submit + timedelta(hours=rng.uniform(1.0, 2.0))
-            emit(case, ACTIVITY_DECIDE, t_decide)
-
             outcome = ACTIVITY_PAY if rng.random() < config.pay_probability else ACTIVITY_REJECT
             t_close = t_decide + timedelta(hours=rng.uniform(0.5, 1.0))
-            emit(case, outcome, t_close)
+            activity += (ACTIVITY_REGISTER, channel, ACTIVITY_SUBMIT, ACTIVITY_DECIDE, outcome)
+            stamps += (t_register, t_notify, t_submit, t_decide, t_close)
 
-    return sort_and_validate(log)
+    # five events per case, the age on each register event, resources in turn
+    n = len(stamps)
+    return sort_and_validate(columnar_log(
+        case_ids, np.repeat(np.arange(len(case_ids), dtype=np.int32), 5), activity,
+        list(islice(cycle(config.resource_pool), n)), None,
+        np.fromiter(map(to_us, stamps), np.int64, n),
+        {"age": (np.arange(0, n, 5), NUMBER, ages)}, {}, {},
+    ))

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, outputs, determinism."""
 
 import csv
+import hashlib
 import json
 import shutil
 import subprocess
@@ -288,6 +289,17 @@ def test_generate_xes_then_auto_format_analyze(tmp_path):
 def test_generated_mapping_file_matches_builtin(tmp_path):
     _, mapping_path = _generate_small(tmp_path)
     assert CsvMapping.from_json_file(mapping_path) == GENERATOR_MAPPING
+
+
+def test_generate_output_is_pinned(tmp_path):
+    # guards the generator's order of random draws and both writers' layout
+    csv_path, xes_path = tmp_path / "log.csv", tmp_path / "log.xes"
+    assert main(["generate", "--seed", "1", "--days", "6", "--cases-per-day", "3",
+                 "--drift-day", "3", "--out-csv", str(csv_path), "--out-xes", str(xes_path)]) == 0
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+        "348fada7ec3fba3ff216d0c6970e34bca8b52e313524b8d5bd2816c6c77c1a1f")
+    assert hashlib.sha256(xes_path.read_bytes()).hexdigest() == (
+        "529ef97790bc9679d19c5c023e090c5c27b61a8b617cac2992f93c86d3ded88c")
 
 
 def test_unknown_log_level_warns_but_runs(tmp_path, monkeypatch, capsys):

@@ -14,6 +14,7 @@ from driftscope.errors import (
     MissingColumn,
     MissingConceptName,
     NonFiniteNumber,
+    RowError,
     RowUnreadable,
     TimestampParse,
     XmlMalformed,
@@ -320,6 +321,24 @@ def test_parse_xes_exotic_lifecycle_counted(tmp_path):
     log = parse_xes(_write(tmp_path, "log.xes", doc))
     assert log.cases["1"].events[0].lifecycle is None
     assert log.meta["ignored_lifecycle_transitions"] == 1
+
+
+@pytest.mark.parametrize("element, bad, message", [
+    ('<boolean key="urgent" value="true"/>', '<int key="n" value="abc"/>',
+     "event #2, attribute 'n' has non-numeric value 'abc'"),
+    ('<string key="channel" value="web"/>', '<float key="n" value="x"/>',
+     "trace 1, attribute 'n' has non-numeric value 'x'"),
+])
+def test_parse_xes_non_numeric_number_names_its_place(tmp_path, element, bad, message):
+    with pytest.raises(XmlMalformed) as err:
+        parse_xes(_write(tmp_path, "log.xes", XES_DOC.replace(element, bad)))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("error", [TimestampParse, EmptyValue, RowUnreadable])
+def test_row_errors_share_one_base_and_carry_the_row(error):
+    assert issubclass(error, RowError) and issubclass(error, IngestionError)
+    assert error("bad", row=4).row == 4 and error("bad").row is None
 
 
 def test_parse_xes_missing_concept_name(tmp_path):

@@ -120,6 +120,30 @@ def test_mixed_attribute_types_rejected():
         sort_and_validate(log)
 
 
+def test_object_route_reads_lifecycles_as_the_parsers_do():
+    t = datetime(2021, 1, 1, 9)
+    log = EventLog(meta={"case_attr_conflicts": 2})
+    log.cases["c"] = Case(case_id="c", events=[
+        Event("e1", "c", "a", t, lifecycle="START"),
+        Event("e2", "c", "a", t + timedelta(hours=1), lifecycle="COMPLETE"),
+        Event("e3", "c", "a", t + timedelta(hours=2), lifecycle="schedule"),
+    ])
+    log = sort_and_validate(log)
+    assert [e.lifecycle for e in log.cases["c"].events] == ["start", "complete", None]
+    assert log.meta == {"case_attr_conflicts": 2, "ignored_lifecycle_transitions": 1}
+    assert log.table.service_s[1] == 3600.0
+
+
+def test_object_route_adds_the_lifecycle_count_only_when_non_zero():
+    t = datetime(2021, 1, 1, 9)
+    log = EventLog(meta={"ignored_lifecycle_transitions": 2})
+    log.cases["c"] = Case(case_id="c", events=[Event("e1", "c", "a", t, lifecycle="x")])
+    assert sort_and_validate(log).meta == {"ignored_lifecycle_transitions": 3}
+    log = EventLog()
+    log.cases["c"] = Case(case_id="c", events=[Event("e1", "c", "a", t, lifecycle="start")])
+    assert sort_and_validate(log).meta == {}
+
+
 def test_attribute_type_tags():
     assert attribute_type(True) == "boolean"
     assert attribute_type(1.5) == "number"
