@@ -26,7 +26,7 @@ from .changepoint import NORMALIZATIONS, PeltConfig, pelt
 from .errors import AnalysisError, ConfigInvalid, IngestionError, ValidationError
 from .ingest import CsvMapping, parse_csv, parse_xes, write_csv, write_xes
 from .model import EventLog
-from .pipeline import FrameworkConfig, run
+from .pipeline import FrameworkConfig, cp_entry, run
 from .synthetic import GeneratorConfig, generate
 from .timeseries import (
     build_intervals,
@@ -173,13 +173,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     intervals = build_intervals(event_log, parse_duration(args.interval))
     matrix = build_time_series(event_log, intervals, _specs(args.spec))
     result = pelt(matrix, PeltConfig(args.beta, args.min_segment, args.normalize))
-    payload = [
-        {
-            "index": cp.index,
-            "interval_start_iso": intervals.start_datetime(cp.index - 1).isoformat(),
-        }
-        for cp in result
-    ]
+    payload = [cp_entry(intervals, cp) for cp in result]
     Path(args.out).write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

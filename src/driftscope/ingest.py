@@ -42,7 +42,7 @@ import math
 from itertools import compress
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, fields
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from functools import cache
 from pathlib import Path
 from xml.parsers import expat
@@ -63,7 +63,6 @@ from .errors import (
 )
 from .model import (
     BOOLEAN,
-    EPOCH,
     LIFECYCLES,
     NUMBER,
     TEXT,
@@ -73,6 +72,7 @@ from .model import (
     coded,
     columnar_log,
     decode,
+    from_us,
     sort_and_validate,
     to_us,
 )
@@ -176,17 +176,12 @@ def _iso_bytes() -> dict[int, tuple[np.ndarray, np.ndarray]]:
             for shape in shapes}
 
 
-_EPOCH_UTC = EPOCH.replace(tzinfo=timezone.utc)
-_US = timedelta(microseconds=1)
-_US_MIN, _US_MAX = to_us(datetime.min), to_us(datetime.max)
-
-
 def _parse_stamps(texts: list[str], fmt: str | None = None):
     """Microseconds since the epoch (naive UTC) of each text, whether it carried
     an offset, and ``(index, error)`` of the first text that does not parse.
 
     Texts of an :func:`_iso_bytes` shape (year 0 excepted) are parsed by numpy in
-    one call; the rest one by one, as :func:`parse_timestamp` does."""
+    one call; the rest one by one, as :func:`parse_timestamp` reads them."""
     n = len(texts)
     us, aware, fast = np.zeros(n, np.int64), np.zeros(n, bool), np.zeros(n, bool)
     if fmt is None and n:
@@ -208,15 +203,11 @@ def _parse_stamps(texts: list[str], fmt: str | None = None):
     for i in slow:
         try:
             ts = _parse_datetime(texts[i], fmt)
-            offset = ts.tzinfo is not None
-            value = (ts - (_EPOCH_UTC if offset else EPOCH)) // _US
-            if not _US_MIN <= value <= _US_MAX:
-                raise OverflowError("date value out of range")
+            values.append(to_us(ts))  # OverflowError for an instant out of range
         except (ValueError, OverflowError) as exc:
             bad = (i, exc)
             break
-        values.append(value)
-        offsets.append(offset)
+        offsets.append(ts.tzinfo is not None)
     us[slow[:len(values)]] = values
     aware[slow[:len(values)]] = offsets
     return us, aware, bad
@@ -446,16 +437,11 @@ def _read_xes(path):
         record[2].append(value)
 
     parser.StartElementHandler, parser.EndElementHandler = start, closed.append
-    collecting = gc.isenabled()
-    gc.disable()  # each element's attribute list is a fresh container
     try:
         with open(path, "rb") as fh:
             parser.ParseFile(fh)
     except expat.ExpatError as exc:
         raise XmlMalformed(f"{path}: {exc}") from exc
-    finally:
-        if collecting:
-            gc.enable()
     return root[0], trace_at, event_at, event_trace, trace_keys, event_keys, skipped
 
 
@@ -598,7 +584,7 @@ def _standard(finals: dict, key: str, n: int) -> list:
 
 def _python(vtype: str, value):
     """A record's value as the object model holds it."""
-    return EPOCH + timedelta(microseconds=value) if vtype == TIMESTAMP else value
+    return from_us(value) if vtype == TIMESTAMP else value
 
 
 def write_xes(log: EventLog, path: str | Path) -> None:

@@ -9,11 +9,11 @@ and a given key must carry one type throughout a log.
 A validated log stores its events once, as the parallel arrays of a
 :class:`LogColumns`. Every source hands its per-event values to
 :func:`columnar_log`, which codes the catalogs, reads the lifecycles and
-stores the attributes: the parsers, the generator, and
-:func:`sort_and_validate` for a log built from :class:`Case` and
-:class:`Event` objects (``EventLog()``, then ``log.cases[...] = Case(...)``).
-:func:`sort_and_validate` then orders the events, checks identifiers and
-attribute types and sorts the catalogs (activity alphabet, resource set).
+stores the attributes, rejecting a key that mixes types: the parsers, the
+generator, and :func:`sort_and_validate` for a log built from :class:`Case`
+and :class:`Event` objects (``EventLog()``, then ``log.cases[...] = Case(...)``),
+after checking their case ids and event ids. :func:`sort_and_validate` then
+orders the events and sorts the catalogs (activity alphabet, resource set).
 After that the log is treated as immutable. The rest of the package reads
 it through :attr:`EventLog.table`; ``log.cases`` and
 :meth:`EventLog.iter_events` build ``Case``/``Event`` objects from the
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from functools import cached_property
 from itertools import count, repeat
 from typing import Iterator, NamedTuple
@@ -35,12 +35,15 @@ from .errors import (
     AttributeTypeMismatch,
     DuplicateEventId,
     EventInMultipleCases,
+    TimestampParse,
 )
 
 #: One microsecond, used to convert timestamp differences to exact integers.
 _US = timedelta(microseconds=1)
 #: Timestamps are stored as integer microseconds since this naive instant.
 EPOCH = datetime(1970, 1, 1)
+_EPOCH_UTC = EPOCH.replace(tzinfo=timezone.utc)
+_US_MIN, _US_MAX = (datetime.min - EPOCH) // _US, (datetime.max - EPOCH) // _US
 
 #: Attribute type names used in the per-log attribute tables.
 NUMBER = "number"
@@ -73,8 +76,17 @@ def attribute_type(value) -> str:
 
 
 def to_us(ts: datetime) -> int:
-    """A naive timestamp as integer microseconds since :data:`EPOCH`."""
-    return (ts - EPOCH) // _US
+    """A timestamp as integer microseconds since :data:`EPOCH`; an aware one is
+    read as its UTC instant, which raises ``OverflowError`` outside ``datetime``'s range."""
+    us = (ts - (EPOCH if ts.tzinfo is None else _EPOCH_UTC)) // _US
+    if not _US_MIN <= us <= _US_MAX:  # only an aware stamp can fall outside
+        raise OverflowError("date value out of range")
+    return us
+
+
+def from_us(us: int) -> datetime:
+    """The naive timestamp ``us`` microseconds after :data:`EPOCH` (inverse of :func:`to_us`)."""
+    return EPOCH + int(us) * _US
 
 
 @dataclass
@@ -103,25 +115,23 @@ class Attribute(NamedTuple):
     """One attribute key over all events (or all cases) of a log.
 
     ``values`` is float64 (NaN where absent) for numbers, bool for booleans,
-    object (``None`` where absent) for text and ``datetime64[us]`` for
-    timestamps. A key seen with several types has a tuple of those types as
-    ``type`` and Python objects as values; validation rejects it.
+    object (``None`` where absent) for text and ``datetime64[us]`` for timestamps.
     """
 
-    type: str | tuple
+    type: str
     present: np.ndarray
     values: np.ndarray
 
     @classmethod
-    def of(cls, n: int, rows, types, values) -> "Attribute":
-        """The column of ``n`` entries holding typed records: ``values[i]`` at
-        entry ``rows[i]``. ``types`` is one type for every record or a list of
-        one type per record; timestamps come as integer microseconds since
-        :data:`EPOCH`."""
-        if not isinstance(types, str):
-            kinds = tuple(dict.fromkeys(types))
-            types = kinds[0] if len(kinds) == 1 else kinds
-        dtype, empty = _STORAGE.get(types, (object, None))
+    def of(cls, name: str, n: int, rows, types, values) -> "Attribute":
+        """The column ``name`` of ``n`` entries holding typed records: ``values[i]``
+        at entry ``rows[i]``. ``types`` is one type for every record or one per
+        record, all alike (else :class:`AttributeTypeMismatch`); timestamps come
+        as integer microseconds since :data:`EPOCH`."""
+        types, *mixed = [types] if isinstance(types, str) else dict.fromkeys(types)
+        if mixed:
+            raise AttributeTypeMismatch(f"{name} mixes {' and '.join([types, *mixed])} values")
+        dtype, empty = _STORAGE[types]
         if types == TIMESTAMP:
             values = np.asarray(values, dtype=np.int64).astype(dtype)
         elif dtype is object:
@@ -187,8 +197,7 @@ class EventLog:
         self._draft = {} if cases is None else cases
         self.span: tuple[datetime, datetime] | None = None
         if columns is not None and len(columns.time_us):
-            lo, hi = columns.time_us.min(), columns.time_us.max()
-            self.span = (EPOCH + int(lo) * _US, EPOCH + int(hi) * _US)
+            self.span = (from_us(columns.time_us.min()), from_us(columns.time_us.max()))
 
     @cached_property
     def cases(self) -> Mapping[str, Case]:
@@ -387,8 +396,8 @@ def columnar_log(case_ids: list[str], case: np.ndarray, activity: list[str],
     without regard to case; any other text is dropped and counted in
     ``ignored_lifecycle_transitions``. ``event_attrs`` and ``case_attrs`` map
     each key to its typed records ``(rows, types, values)`` as
-    :meth:`Attribute.of` takes them. Of ``meta``'s counts, only the non-zero
-    ones are kept. ``event_ids`` defaults to ``e1``, ``e2``, ...
+    :meth:`Attribute.of` takes them; it rejects a key that mixes types. Only
+    ``meta``'s non-zero counts are kept. ``event_ids`` defaults to ``e1``, ``e2``, ...
     """
     n = len(time_us)
     kind, ignored = np.zeros(n, dtype=np.int8), 0
@@ -406,24 +415,26 @@ def columnar_log(case_ids: list[str], case: np.ndarray, activity: list[str],
         resources, resource = coded(resource)
     columns = LogColumns(
         list(case_ids), case, *coded(activity), resources, resource, kind, time_us,
-        {key: Attribute.of(n, *records) for key, records in event_attrs.items()},
-        {key: Attribute.of(len(case_ids), *records) for key, records in case_attrs.items()},
+        {key: Attribute.of(f"event attribute {key!r}", n, *records)
+         for key, records in event_attrs.items()},
+        {key: Attribute.of(f"case attribute {key!r}", len(case_ids), *records)
+         for key, records in case_attrs.items()},
         event_ids=event_ids,
     )
     return EventLog(meta={key: value for key, value in counts.items() if value}, columns=columns)
 
 
 def sort_and_validate(log: EventLog) -> EventLog:
-    """Order events, check identifiers and attribute types, derive the catalogs.
+    """Order events and derive the catalogs.
 
     Events are ordered by case, then timestamp, with a stable sort, so
-    simultaneous events keep their ingestion order. Raises
-    :class:`DuplicateEventId` when an identifier repeats inside one case,
-    :class:`EventInMultipleCases` when it appears across cases, and
-    :class:`AttributeTypeMismatch` when one attribute key mixes types.
+    simultaneous events keep their ingestion order. A log built from objects
+    is first checked in ingestion order: :class:`EventInMultipleCases` when an
+    event carries another case's id, then :class:`DuplicateEventId` or
+    :class:`EventInMultipleCases` when an event id repeats in a case or across cases.
     """
     if log.columns is None:  # built from Case and Event objects
-        cases, events = list(log.cases.values()), []
+        cases, events, owner = list(log.cases.values()), [], {}
         for case in cases:
             for e in case.events:
                 if e.case_id != case.case_id:
@@ -431,25 +442,30 @@ def sort_and_validate(log: EventLog) -> EventLog:
                         f"event {e.event_id!r} carries case id {e.case_id!r} "
                         f"but is stored under case {case.case_id!r}"
                     )
+        for code, case in enumerate(cases):
+            for e in case.events:
+                first = owner.get(e.event_id)
+                if first == code:
+                    raise DuplicateEventId(
+                        f"event id {e.event_id!r} occurs twice in case {case.case_id!r}")
+                if first is not None:
+                    raise EventInMultipleCases(
+                        f"event id {e.event_id!r} appears in cases "
+                        f"{cases[first].case_id!r} and {case.case_id!r}")
+                owner[e.event_id] = code
             events += case.events
+        ids = [e.event_id for e in events]
         log = columnar_log(
             [case.case_id for case in cases],
             np.repeat(np.arange(len(cases), dtype=np.int32), [len(case.events) for case in cases]),
             [e.activity for e in events], [e.resource for e in events],
             [e.lifecycle for e in events],
-            np.fromiter((to_us(e.timestamp) for e in events), np.int64, len(events)),
-            _records([e.attrs for e in events]), _records([case.attrs for case in cases]),
-            log.meta, [e.event_id for e in events],
+            np.array([_us(e.timestamp, "event", e.event_id) for e in events], dtype=np.int64),
+            _records([e.attrs for e in events], "event", ids),
+            _records([case.attrs for case in cases], "case", [case.case_id for case in cases]),
+            log.meta, ids,
         )
     c = log.columns
-    if c.event_ids is not None:
-        _check_event_ids(c)
-    for level, attrs in (("event", c.event_attrs), ("case", c.case_attrs)):
-        for key, attr in attrs.items():
-            if not isinstance(attr.type, str):
-                raise AttributeTypeMismatch(
-                    f"{level} attribute {key!r} mixes {' and '.join(attr.type)} values"
-                )
     order = np.lexsort((c.time_us, c.case))
     if np.any(order != np.arange(len(order))):
         c = replace(
@@ -466,6 +482,14 @@ def sort_and_validate(log: EventLog) -> EventLog:
     return EventLog(meta=dict(log.meta), columns=c)
 
 
+def _us(ts: datetime, level: str, name: str) -> int:
+    """:func:`to_us` of a stamp held by the ``level`` (event or case) ``name``."""
+    try:
+        return to_us(ts)
+    except OverflowError as exc:
+        raise TimestampParse(f"{level} {name!r}: timestamp {ts.isoformat()}: {exc}") from exc
+
+
 def _sorted_codes(names: tuple, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
     """The catalog in sorted order and the codes renumbered to match; -1 stays."""
     order = sorted(range(len(names)), key=names.__getitem__)
@@ -473,26 +497,6 @@ def _sorted_codes(names: tuple, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
     rank[order] = np.arange(len(names), dtype=np.int32)
     rank[-1] = -1
     return tuple(names[i] for i in order), rank[codes]
-
-
-def _check_event_ids(c: LogColumns) -> None:
-    if len(set(c.event_ids)) == len(c.event_ids):
-        return
-    case_of = c.case if c.source is None else c.case[np.argsort(c.source)]
-    seen: dict[str, int] = {}
-    for event_id, code in zip(c.event_ids, case_of.tolist()):
-        owner = seen.get(event_id)
-        if owner is None:
-            seen[event_id] = code
-        elif owner == code:
-            raise DuplicateEventId(
-                f"event id {event_id!r} occurs twice in case {c.case_ids[code]!r}"
-            )
-        else:
-            raise EventInMultipleCases(
-                f"event id {event_id!r} appears in cases {c.case_ids[owner]!r} "
-                f"and {c.case_ids[code]!r}"
-            )
 
 
 def coded(values: list) -> tuple[tuple, np.ndarray]:
@@ -512,14 +516,14 @@ def coded(values: list) -> tuple[tuple, np.ndarray]:
     return tuple(names), codes.astype(np.int32)
 
 
-def _records(dicts: list[dict]) -> dict[str, tuple[list, list, list]]:
+def _records(dicts: list[dict], level: str, names: list[str]) -> dict[str, tuple[list, list, list]]:
     """The typed records of each key of a list of attribute dicts, row ``i``
-    being ``dicts[i]``."""
+    being ``dicts[i]``, the attributes of the ``level`` ``names[i]``."""
     out: dict[str, tuple[list, list, list]] = {}
     for row, attrs in enumerate(dicts):
         for key, value in attrs.items():
             rows, types, values = out.setdefault(key, ([], [], []))
             rows.append(row)
             types.append(attribute_type(value))
-            values.append(to_us(value) if types[-1] == TIMESTAMP else value)
+            values.append(_us(value, level, names[row]) if types[-1] == TIMESTAMP else value)
     return out

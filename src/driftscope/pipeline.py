@@ -105,6 +105,12 @@ class DriftExplanation:
     pairs: tuple[CausalPair, ...]
 
 
+def cp_entry(intervals: IntervalSequence, cp: ChangePoint) -> dict:
+    """A change point as a report lists it: its index and its interval's start."""
+    start = intervals.start_datetime(cp.index - 1)
+    return {"index": cp.index, "interval_start_iso": start.isoformat()}
+
+
 @dataclass
 class AnalysisReport:
     config: FrameworkConfig
@@ -118,10 +124,6 @@ class AnalysisReport:
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        def cp_entry(cp: ChangePoint) -> dict:
-            start = self.intervals.start_datetime(cp.index - 1)
-            return {"index": cp.index, "interval_start_iso": start.isoformat()}
-
         return {
             "config": self.config.to_dict(),
             "intervals": {
@@ -129,8 +131,8 @@ class AnalysisReport:
                 "count": len(self.intervals),
                 "start_iso": self.intervals.origin.isoformat(),
             },
-            "primary_cps": [cp_entry(cp) for cp in self.primary_cps],
-            "secondary_cps": [cp_entry(cp) for cp in self.secondary_cps],
+            "primary_cps": [cp_entry(self.intervals, cp) for cp in self.primary_cps],
+            "secondary_cps": [cp_entry(self.intervals, cp) for cp in self.secondary_cps],
             "explanations": [
                 {
                     "primary_index": ex.primary.index,

@@ -174,9 +174,11 @@ class FeatureLabel:
         return f"{self.perspective}:{self.extractor}"
 
 
-#: Parameters per extractor name; every other extractor takes none.
-_PARAMS = {"agg": ("attr", "aggregators"), "threshold": ("attr", "bound"),
-           "overtime": ("bound_seconds",)}
+#: The parameters each extractor name takes, in written order, with the type
+#: an argument is read as; ``tuple`` takes every remaining argument (the
+#: aggregators; none written means all of :data:`AGGREGATORS`).
+_PARAMS = {"agg": {"attr": str, "aggregators": tuple}, "threshold": {"attr": str, "bound": float},
+           "overtime": {"bound_seconds": float}}
 
 
 @dataclass(frozen=True)
@@ -207,7 +209,7 @@ class ExtractorSpec:
                 f"unknown extractor {where}"
                 + (f" (did you mean {self.perspective}:{hint[0]}?)" if hint else "")
             )
-        wanted = _PARAMS.get(self.name, ())
+        wanted = _PARAMS.get(self.name, {})
         if sorted(self.params) != sorted(wanted):
             raise ConfigInvalid(
                 f"{where} takes parameters {list(wanted)}, got {sorted(self.params)}"
@@ -221,51 +223,32 @@ _SPEC_RE = re.compile(r"^\s*(\w+)\s*:\s*(\w+)\s*(?:\(([^)]*)\))?\s*$")
 
 
 def parse_spec(text: str) -> ExtractorSpec:
-    """Parse ``perspective:name`` or ``perspective:name(arg, ...)``."""
+    """Parse ``perspective:name[(arg, ...)]``, the args filling :data:`_PARAMS` in order."""
     m = _SPEC_RE.match(text)
     if not m:
         raise ConfigInvalid(f"cannot parse extractor expression {text!r}")
     perspective, name, argtext = m.groups()
     args = [a.strip() for a in (argtext or "").split(",") if a.strip()]
-    return ExtractorSpec(perspective, name, _build_params(name, args, text))
-
-
-def _build_params(name: str, args: list[str], text: str) -> dict:
-    """The parameters the text arguments spell; :class:`ExtractorSpec` checks them."""
-    if name == "agg":
-        if not args:
-            raise ConfigInvalid(f"{text!r}: agg requires an attribute name")
-        return {"attr": args[0], "aggregators": tuple(args[1:]) or AGGREGATORS}
-    if name == "threshold":
-        if len(args) != 2:
-            raise ConfigInvalid(f"{text!r}: threshold requires (attribute, bound)")
-        return {"attr": args[0], "bound": _number(args[1], text)}
-    if name == "overtime":
-        if len(args) != 1:
-            raise ConfigInvalid(f"{text!r}: overtime requires a duration bound in seconds")
-        return {"bound_seconds": _number(args[0], text)}
-    if args:
-        raise ConfigInvalid(f"{text!r}: only {', '.join(_PARAMS)} take arguments")
-    return {}
-
-
-def _number(text: str, where: str) -> float:
+    kinds, params = _PARAMS.get(name, {}), {}
     try:
-        return float(text)
-    except ValueError:
-        raise ConfigInvalid(f"{where!r}: {text!r} is not a number") from None
+        for key, kind in kinds.items():
+            if kind is tuple:
+                params[key], args = tuple(args) or AGGREGATORS, []
+            elif args:
+                params[key] = kind(args.pop(0))
+    except ValueError as exc:
+        raise ConfigInvalid(f"{text!r}: {exc}") from None
+    if args:
+        raise ConfigInvalid(f"{text!r}: {name} takes {len(kinds) or 'no'} argument(s)")
+    return ExtractorSpec(perspective, name, params)
 
 
 def render_spec(spec: ExtractorSpec) -> str:
     """Canonical string form of a spec (inverse of :func:`parse_spec`)."""
-    if spec.name == "agg":
-        args = [spec.params["attr"], *spec.params["aggregators"]]
-    elif spec.name == "threshold":
-        args = [spec.params["attr"], _trim(spec.params["bound"])]
-    elif spec.name == "overtime":
-        args = [_trim(spec.params["bound_seconds"])]
-    else:
-        args = []
+    args = []
+    for key, kind in _PARAMS.get(spec.name, {}).items():
+        value = spec.params[key]
+        args += value if kind is tuple else [_trim(value) if kind is float else value]
     suffix = f"({','.join(args)})" if args else ""
     return f"{spec.perspective}:{spec.name}{suffix}"
 

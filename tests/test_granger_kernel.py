@@ -150,6 +150,27 @@ def test_every_degenerate_kind_is_caught():
     assert np.isnan(_f_statistics(np.array([flat_but_last]), y[None], 3)).all()
 
 
+def test_frobenius_bracket_settles_by_svd_as_the_oracle_does(monkeypatch):
+    # Causes affine in the effect plus noise of relative size 2e-14 and 6e-14:
+    # at lag 2 the unrestricted designs have condition numbers about 2.1 and
+    # 0.65 times the limit, and the cheap Frobenius bound lies between the
+    # limit and p_u = 5 times it for both, so an SVD decides each of them.
+    rng = np.random.default_rng(0)
+    y = rng.normal(size=30)
+    causes = 2.0 * y + 1.0 + np.array([[2e-14], [6e-14]]) * rng.normal(size=(2, 30))
+    settled, block = [], np.block
+
+    def spy(*args, **kwargs):  # the kernel builds a factor only to take its SVD
+        settled.append(args)
+        return block(*args, **kwargs)
+
+    monkeypatch.setattr(np, "block", spy)
+    assert np.isnan(_f_statistics(y[None], causes, 2)[0]).tolist() == [True, False]
+    assert len(settled) == 2
+    monkeypatch.undo()
+    _assert_matches_oracle(y[None], causes, 2)
+
+
 def test_ill_conditioned_design_with_large_pivots_is_degenerate():
     # Lags of a step row: every QR pivot of the design is 0.01 or more of its
     # column's norm, yet the smallest singular value is rounding noise.

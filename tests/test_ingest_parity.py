@@ -243,6 +243,21 @@ def test_xes_trace_attributes_are_checked_before_the_trace_events(tmp_path):
         parse_xes(path)
 
 
+def test_xes_string_timestamp_fails_as_the_object_parser_fails(tmp_path):
+    doc = """<log><trace><string key="concept:name" value="t"/>
+      <event><string key="concept:name" value="a"/>
+        <date key="time:timestamp" value="2021-06-15"/></event>
+      <event><string key="concept:name" value="b"/>
+        <string key="time:timestamp" value="2021-06-16"/></event>
+      </trace></log>"""
+    path = tmp_path / "log.xes"
+    path.write_text(doc, encoding="utf-8")
+    assert_same(path, parse_xes, oracle.parse_xes)
+    with pytest.raises(TimestampParse) as err:
+        parse_xes(path)
+    assert err.value.row == 2 and "not a date attribute" in str(err.value)
+
+
 # ------------------------------------------------------------------- fuzz
 
 def _fails_cleanly(parse, path) -> None:

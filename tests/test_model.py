@@ -1,13 +1,14 @@
 """Event-log model: ordering, validation, catalogs and projections."""
 
 from collections import Counter
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, strategies as st
 
 from driftscope.errors import (
     AttributeTypeMismatch,
+    DriftscopeError,
     DuplicateEventId,
     EventInMultipleCases,
 )
@@ -142,6 +143,44 @@ def test_object_route_adds_the_lifecycle_count_only_when_non_zero():
     log = EventLog()
     log.cases["c"] = Case(case_id="c", events=[Event("e1", "c", "a", t, lifecycle="start")])
     assert sort_and_validate(log).meta == {}
+
+
+def _one_case_log(stamps, attr_stamps=None):
+    log = EventLog()
+    log.cases["c"] = Case(case_id="c", attrs={"opened": stamps[0]}, events=[
+        Event(f"e{i}", "c", "a", ts, attrs={"due": due})
+        for i, (ts, due) in enumerate(zip(stamps, attr_stamps or stamps))
+    ])
+    return sort_and_validate(log)
+
+
+def test_aware_stamps_validate_as_their_utc_instants():
+    plus_two = timezone(timedelta(hours=2))
+    naive = [datetime(2021, 1, 1, 9), datetime(2021, 1, 1, 10, 30), datetime(2021, 1, 1, 12)]
+    aware = [datetime(2021, 1, 1, 9, tzinfo=timezone.utc),
+             datetime(2021, 1, 1, 12, 30, tzinfo=plus_two),
+             datetime(2021, 1, 1, 14, tzinfo=plus_two)]
+    want, got = _one_case_log(naive), _one_case_log(aware)
+    assert got.span == want.span
+    assert [e.timestamp for e in got.iter_events()] == naive
+    for name in ("offset_us", "case", "activity", "prev", "case_duration_s", "service_s"):
+        assert getattr(got.table, name).tobytes() == getattr(want.table, name).tobytes(), name
+    for level, key in (("event_attrs", "due"), ("case_attrs", "opened")):
+        got_attr, want_attr = getattr(got.columns, level)[key], getattr(want.columns, level)[key]
+        assert got_attr.type == want_attr.type == "timestamp"
+        assert got_attr.values.tobytes() == want_attr.values.tobytes()
+
+
+@pytest.mark.parametrize("stamp", [
+    datetime(1, 1, 1, tzinfo=timezone(timedelta(hours=2))),
+    datetime(9999, 12, 31, 23, tzinfo=timezone(timedelta(hours=-2))),
+])
+def test_object_stamp_outside_datetime_range_is_a_driftscope_error(stamp):
+    fine = datetime(2021, 1, 1)
+    with pytest.raises(DriftscopeError):
+        _one_case_log([stamp])
+    with pytest.raises(DriftscopeError):
+        _one_case_log([fine], attr_stamps=[stamp])
 
 
 def test_attribute_type_tags():

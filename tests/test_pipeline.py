@@ -173,6 +173,34 @@ def test_control_flow_drift_without_data_cause_is_unexplained():
     assert report.metadata["skipped_degenerate_pairs"] == 0
 
 
+def test_secondary_drifts_after_or_too_far_before_the_primary_are_not_tested():
+    # 15 days give 14 full intervals. The successor of "a" changes on day 8
+    # (primary change point 9); one-event cases on days 3-10 raise the event
+    # count (secondary change points 4 and 12). Change point 12 does not
+    # precede 9, and lag 5 needs 3 * 5 + 3 = 18 intervals.
+    base = datetime(2021, 3, 1, 8, 0)
+    rows = []
+    for d in range(15):
+        rows += [(f"c{d}", "a", base + timedelta(days=d)),
+                 (f"c{d}", "b" if d < 8 else "c", base + timedelta(days=d, hours=1))]
+        if 3 <= d <= 10:
+            rows.append((f"x{d}", "x", base + timedelta(days=d, hours=2)))
+    log = build_log(rows)
+    cfg = FrameworkConfig(
+        primary_specs=[parse_spec("control_flow:df")],
+        secondary_specs=[parse_spec("data:event_count")],
+        interval_seconds=86400.0,
+        beta_secondary=0.1,
+    )
+    report = run(log, cfg)
+    assert len(report.intervals) == 14
+    assert report.primary_cps.indices == (9,)
+    assert report.secondary_cps.indices == (4, 12)
+    assert report.explanations == ()
+    assert report.unexplained == (9,)
+    assert report.metadata["skipped_lag_pairs"] == 1
+
+
 def test_drifted_generator_links_age_to_notifications(drifted_report):
     report = drifted_report
     assert report.secondary_cps.indices == (130,)  # the configured drift day
