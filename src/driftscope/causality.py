@@ -89,9 +89,14 @@ def lag_between(
     return k
 
 
+def _sizes(n: int, k: int) -> tuple[int, int]:
+    """``n_eff`` and the residual degrees of freedom ``n_eff - p_u`` at lag ``k``."""
+    return n - k, n - k - (2 * k + 1)
+
+
 def min_series_length(lag: int) -> int:
-    """Shortest series length that leaves positive residual degrees of freedom."""
-    return 3 * lag + 3
+    """Shortest series length that leaves two residual degrees of freedom."""
+    return 2 - _sizes(0, lag)[1]  # each value adds one degree of freedom
 
 
 #: Cause rows residualised and factorised in one batched QR.
@@ -123,9 +128,8 @@ def _f_statistics(effects: np.ndarray, causes: np.ndarray, k: int) -> np.ndarray
             f"series of length {n} is too short for lag {k}; "
             f"need at least {min_series_length(k)} observations"
         )
-    n_eff = n - k
-    p_u = 2 * k + 1
-    dof_den = n_eff - p_u
+    n_eff, dof_den = _sizes(n, k)
+    p_u = n_eff - dof_den
     max_cond = 1.0 / (_EPS * n_eff)
     f = np.full((effects.shape[0], causes.shape[0]), np.nan)
     live = np.flatnonzero(np.ptp(causes[:, :-1], axis=1) > 0.0)
@@ -184,8 +188,7 @@ def granger_test(effect, cause, lag: int) -> GrangerResult:
     f_stat = float(_f_statistics(y[None], x[None], k)[0, 0])
     if np.isnan(f_stat):
         raise DegenerateSeries("constant series or rank-deficient design (collinear lags)")
-    n_eff = y.shape[0] - k
-    dof_den = n_eff - (2 * k + 1)
+    n_eff, dof_den = _sizes(y.shape[0], k)
     return GrangerResult(
         p_value=fdist.f_sf(f_stat, k, dof_den),
         f_statistic=f_stat,
@@ -218,7 +221,7 @@ def test_all_pairs(
     check_p_threshold(p_threshold)
     k = int(lag)
     f = _f_statistics(primary.values, secondary.values, k)
-    dof_den = primary.n_intervals - k - (2 * k + 1)
+    dof_den = _sizes(primary.n_intervals, k)[1]
     pairs: list[CausalPair] = []
     for i, j in zip(*np.nonzero(~np.isnan(f))):
         p_value = fdist.f_sf(float(f[i, j]), k, dof_den)

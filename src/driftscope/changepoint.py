@@ -152,10 +152,8 @@ class SegmentCost:
         return out
 
     def cost(self, a: int, b: int) -> float:
-        """Cost of columns ``[a, b)`` (0-based, half-open), priced as :meth:`price` does."""
-        s = self._sum[b] - self._sum[a]
-        q = self._sumsq[b] - self._sumsq[a]
-        return float((q - s * s / (b - a)).sum())
+        """Cost of columns ``[a, b)`` (0-based, half-open), priced by :meth:`price`."""
+        return float(self.price(np.array([a]), b, np.empty(1))[0])
 
 
 def _points(matrix: TimeSeriesMatrix, boundaries: tuple[int, ...]) -> tuple[ChangePoint, ...]:

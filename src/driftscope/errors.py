@@ -57,7 +57,7 @@ class NonFiniteNumber(RowError):
 
 
 class EmptyValue(RowError):
-    """A CSV row leaves its case id or activity cell empty."""
+    """A CSV row, or a case or event built as an object, leaves its case id or activity empty."""
 
 
 class RowUnreadable(RowError):

@@ -12,8 +12,8 @@ boolean/number/timestamp gets that type, otherwise it stays text.
 
 Naive ISO-8601 stamps of the shapes in ``_iso_bytes`` are parsed in one
 numpy call; every other stamp (an offset, a ``Z``, other shapes, a
-``timestamp_format``) goes through :func:`parse_timestamp`, and both give
-the same microseconds. A number that parses to NaN or an infinity, in a CSV
+``timestamp_format``) goes one by one through :func:`_parse_datetime`, and both
+give the same microseconds. A number that parses to NaN or an infinity, in a CSV
 cell or an XES int/float attribute, is an error that names its row or event
 and column. A file that is not UTF-8 or that ``csv`` cannot split raises
 :class:`~driftscope.errors.RowUnreadable` naming the row. When several rows
@@ -42,7 +42,7 @@ import math
 from itertools import compress
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, fields
-from datetime import datetime, timezone
+from datetime import datetime
 from functools import cache
 from pathlib import Path
 from xml.parsers import expat
@@ -151,15 +151,6 @@ def _parse_datetime(text: str, fmt: str | None) -> datetime:
     return datetime.fromisoformat(raw[:-1] + "+00:00" if raw.endswith(("Z", "z")) else raw)
 
 
-def parse_timestamp(text: str, fmt: str | None = None, row: int | None = None) -> datetime:
-    """Parse one timestamp; timezone-aware values are normalised to naive UTC."""
-    try:
-        ts = _parse_datetime(text, fmt)
-        return ts if ts.tzinfo is None else ts.astimezone(timezone.utc).replace(tzinfo=None)
-    except (ValueError, OverflowError) as exc:
-        raise _stamp_error("" if row is None else f"row {row}: ", text, exc, row) from exc
-
-
 def _stamp_error(where: str, text: str, exc: Exception, row: int | None) -> TimestampParse:
     return TimestampParse(f"{where}cannot parse timestamp {text!r}: {exc}", row=row)
 
@@ -181,7 +172,7 @@ def _parse_stamps(texts: list[str], fmt: str | None = None):
     an offset, and ``(index, error)`` of the first text that does not parse.
 
     Texts of an :func:`_iso_bytes` shape (year 0 excepted) are parsed by numpy in
-    one call; the rest one by one, as :func:`parse_timestamp` reads them."""
+    one call; the rest one by one through :func:`_parse_datetime`."""
     n = len(texts)
     us, aware, fast = np.zeros(n, np.int64), np.zeros(n, bool), np.zeros(n, bool)
     if fmt is None and n:
@@ -360,17 +351,19 @@ def write_csv(log: EventLog, mapping: CsvMapping, path: str | Path) -> None:
         writer.writerows(zip(*out))
 
 
-def _formatted(attr: Attribute | None, n: int) -> list[str]:
-    """Cell texts of one attribute column: ``repr`` of numbers, ISO stamps, lower-case booleans."""
+def _formatted(attr: Attribute | None, n: int) -> list[str | None]:
+    """Cell texts, None where absent: ``repr`` of numbers, ISO stamps, lower-case booleans."""
     if attr is None:
-        return [""] * n
+        return [None] * n
     fmt = {NUMBER: repr, BOOLEAN: lambda v: "true" if v else "false",
            TIMESTAMP: datetime.isoformat}.get(attr.type, str)
-    return [fmt(v) if p else "" for v, p in zip(attr.values.tolist(), attr.present.tolist())]
+    return [fmt(v) if p else None for v, p in zip(attr.values.tolist(), attr.present.tolist())]
 
 
 _XES_TYPES = {"string": TEXT, "date": TIMESTAMP, "int": NUMBER, "float": NUMBER,
               "boolean": BOOLEAN}
+#: The element :func:`write_xes` writes for each attribute type.
+_XES_TAGS = {TEXT: "string", TIMESTAMP: "date", NUMBER: "float", BOOLEAN: "boolean"}
 
 
 def _read_xes(path):
@@ -475,7 +468,8 @@ def _xes_values(key: str, tags: list[str], texts: list[str], where):
                     f"{where(i)[0]}, attribute {key!r} has non-numeric value {texts[i]!r}")))
                 break
             if not math.isfinite(values[i]):
-                failures.append((i, NonFiniteNumber(f"{where(i)[0]}, attribute", key, texts[i])))
+                failures.append((i, NonFiniteNumber(f"{where(i)[0]}, attribute", key, texts[i],
+                                                    row=where(i)[1])))
                 break
     return types, values, aware, min(failures, default=None, key=lambda f: f[0])
 
@@ -589,34 +583,31 @@ def _python(vtype: str, value):
 
 def write_xes(log: EventLog, path: str | Path) -> None:
     """Export a log as an XES document using typed attribute elements."""
+    c = log.columns
+    stamps = [ts.isoformat() for ts in c.time_us.astype("datetime64[us]").tolist()]
+    trace_cols = [(KEY_ACTIVITY, "string", c.case_ids), *_tagged(c.case_attrs, len(c.case_ids))]
+    event_cols = [(KEY_ACTIVITY, "string", decode(c.activities, c.activity)),
+                  (KEY_TIMESTAMP, "date", stamps),
+                  (KEY_RESOURCE, "string", decode((*c.resources, None), c.resource)),
+                  (KEY_LIFECYCLE, "string", decode(LIFECYCLES, c.lifecycle)),
+                  *_tagged(c.event_attrs, len(c.case))]
     root = ET.Element("log", {"xes.version": "1849-2016", "xes.features": ""})
-    for case in log.cases.values():
-        trace = ET.SubElement(root, "trace")
-        _emit_attr(trace, KEY_ACTIVITY, case.case_id)
-        for key, value in case.attrs.items():
-            _emit_attr(trace, key, value)
-        for e in case.events:
-            ev = ET.SubElement(trace, "event")
-            _emit_attr(ev, KEY_ACTIVITY, e.activity)
-            _emit_attr(ev, KEY_TIMESTAMP, e.timestamp)
-            if e.resource is not None:
-                _emit_attr(ev, KEY_RESOURCE, e.resource)
-            if e.lifecycle is not None:
-                _emit_attr(ev, KEY_LIFECYCLE, e.lifecycle)
-            for key, value in e.attrs.items():
-                _emit_attr(ev, key, value)
+    traces = [_element(root, "trace", trace_cols, code) for code in range(len(c.case_ids))]
+    for row, code in enumerate(c.case.tolist()):
+        _element(traces[code], "event", event_cols, row)
     tree = ET.ElementTree(root)
     ET.indent(tree)
     tree.write(path, encoding="utf-8", xml_declaration=True)
 
 
-def _emit_attr(parent: ET.Element, key: str, value) -> None:
-    if isinstance(value, bool):
-        tag, text = "boolean", "true" if value else "false"
-    elif isinstance(value, (int, float)):
-        tag, text = "float", repr(float(value))
-    elif isinstance(value, datetime):
-        tag, text = "date", value.isoformat()
-    else:
-        tag, text = "string", str(value)
-    ET.SubElement(parent, tag, {"key": key, "value": text})
+def _tagged(attrs: dict[str, Attribute], n: int) -> list[tuple[str, str, list]]:
+    return [(key, _XES_TAGS[attr.type], _formatted(attr, n)) for key, attr in attrs.items()]
+
+
+def _element(parent: ET.Element, tag: str, columns: list, i: int) -> ET.Element:
+    """A ``tag`` child of ``parent`` with an element per column whose text ``i`` is not None."""
+    element = ET.SubElement(parent, tag)
+    for key, value_tag, texts in columns:
+        if texts[i] is not None:
+            ET.SubElement(element, value_tag, {"key": key, "value": texts[i]})
+    return element

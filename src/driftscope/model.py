@@ -10,14 +10,14 @@ A validated log stores its events once, as the parallel arrays of a
 :class:`LogColumns`. Every source hands its per-event values to
 :func:`columnar_log`, which codes the catalogs, reads the lifecycles and
 stores the attributes, rejecting a key that mixes types: the parsers, the
-generator, and :func:`sort_and_validate` for a log built from :class:`Case`
-and :class:`Event` objects (``EventLog()``, then ``log.cases[...] = Case(...)``),
-after checking their case ids and event ids. :func:`sort_and_validate` then
-orders the events and sorts the catalogs (activity alphabet, resource set).
-After that the log is treated as immutable. The rest of the package reads
-it through :attr:`EventLog.table`; ``log.cases`` and
-:meth:`EventLog.iter_events` build ``Case``/``Event`` objects from the
-columns on demand, case by case, and keep none of them.
+generator, and :func:`sort_and_validate` for a draft (``EventLog()``, which
+holds only ``cases`` and ``meta``) filled with :class:`Case` and :class:`Event`
+objects, after checking their ids and values as the parsers check cells.
+:func:`sort_and_validate` then orders the events and sorts the catalogs.
+After that the log is treated as immutable and the package reads only its
+columns: the extractors through :attr:`EventLog.table`, the writers directly.
+``log.cases`` and :meth:`EventLog.iter_events` build ``Case``/``Event``
+objects from the columns on demand, case by case, and keep none of them.
 """
 
 from __future__ import annotations
@@ -34,7 +34,9 @@ import numpy as np
 from .errors import (
     AttributeTypeMismatch,
     DuplicateEventId,
+    EmptyValue,
     EventInMultipleCases,
+    NonFiniteNumber,
     TimestampParse,
 )
 
@@ -177,10 +179,10 @@ class LogColumns:
 class EventLog:
     """A collection of cases plus derived catalogs.
 
-    ``EventLog()`` starts an empty log whose ``cases`` is a plain dict to
-    fill with :class:`Case` objects before :func:`sort_and_validate`. A
-    validated log holds :class:`LogColumns` instead, and its ``cases`` is a
-    read-only mapping that builds each case when it is asked for.
+    ``EventLog()`` starts a draft holding only ``meta`` and ``cases``, a dict
+    to fill with :class:`Case` objects before :func:`sort_and_validate`. The
+    other members read the :class:`LogColumns` of a validated log, whose
+    ``cases`` is a read-only mapping that builds each case when asked for.
 
     ``activities`` and ``resources`` are sorted tuples so that feature row
     order never depends on ingestion order. ``span`` is the pair of earliest
@@ -205,19 +207,19 @@ class EventLog:
 
     @property
     def activities(self) -> tuple[str, ...]:
-        return () if self.columns is None else self.columns.activities
+        return self.columns.activities
 
     @property
     def resources(self) -> tuple[str, ...]:
-        return () if self.columns is None else self.columns.resources
+        return self.columns.resources
 
     @property
     def event_attr_types(self) -> dict[str, str]:
-        return {} if self.columns is None else _types(self.columns.event_attrs)
+        return _types(self.columns.event_attrs)
 
     @property
     def case_attr_types(self) -> dict[str, str]:
-        return {} if self.columns is None else _types(self.columns.case_attrs)
+        return _types(self.columns.case_attrs)
 
     def iter_events(self) -> Iterator[Event]:
         """Yield all events, case by case, in stored order."""
@@ -226,13 +228,11 @@ class EventLog:
 
     @property
     def event_count(self) -> int:
-        if self.columns is None:
-            return sum(len(c.events) for c in self._draft.values())
         return len(self.columns.time_us)
 
     @property
     def case_count(self) -> int:
-        return len(self.cases)
+        return len(self.columns.case_ids)
 
     @property
     def origin(self) -> datetime:
@@ -272,9 +272,6 @@ class CaseView(Mapping):
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._c.case_ids)
-
-    def __contains__(self, case_id) -> bool:
-        return case_id in self._code
 
     def __getitem__(self, case_id: str) -> Case:
         return self._case(self._code[case_id])
@@ -429,19 +426,24 @@ def sort_and_validate(log: EventLog) -> EventLog:
 
     Events are ordered by case, then timestamp, with a stable sort, so
     simultaneous events keep their ingestion order. A log built from objects
-    is first checked in ingestion order: :class:`EventInMultipleCases` when an
-    event carries another case's id, then :class:`DuplicateEventId` or
-    :class:`EventInMultipleCases` when an event id repeats in a case or across cases.
+    is first checked in ingestion order: :class:`EmptyValue` for an empty case
+    id or activity or :class:`EventInMultipleCases` for another case's id, then
+    :class:`DuplicateEventId` or :class:`EventInMultipleCases` when an event id
+    repeats in a case or across cases, then :class:`NonFiniteNumber`.
     """
     if log.columns is None:  # built from Case and Event objects
         cases, events, owner = list(log.cases.values()), [], {}
-        for case in cases:
+        for number, case in enumerate(cases, start=1):
+            if not str(case.case_id or "").strip():
+                raise EmptyValue(f"case #{number}: case_id is empty")
             for e in case.events:
                 if e.case_id != case.case_id:
                     raise EventInMultipleCases(
                         f"event {e.event_id!r} carries case id {e.case_id!r} "
                         f"but is stored under case {case.case_id!r}"
                     )
+                if not str(e.activity or "").strip():
+                    raise EmptyValue(f"event {e.event_id!r}: activity is empty")
         for code, case in enumerate(cases):
             for e in case.events:
                 first = owner.get(e.event_id)
@@ -525,5 +527,7 @@ def _records(dicts: list[dict], level: str, names: list[str]) -> dict[str, tuple
             rows, types, values = out.setdefault(key, ([], [], []))
             rows.append(row)
             types.append(attribute_type(value))
+            if types[-1] == NUMBER and not np.isfinite(value):
+                raise NonFiniteNumber(f"{level} {names[row]!r}, attribute", key, str(value))
             values.append(_us(value, level, names[row]) if types[-1] == TIMESTAMP else value)
     return out

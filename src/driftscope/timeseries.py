@@ -39,10 +39,11 @@ order, so every figure is the same whatever the grouping machinery.
 
 from __future__ import annotations
 
+import csv
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from functools import cached_property
+from functools import cached_property, partial
 from statistics import fmean
 
 import numpy as np
@@ -186,7 +187,8 @@ class ExtractorSpec:
     """An extractor request: perspective, extractor name, parameters.
 
     Construction checks the pair against the extractor catalogue and the
-    parameters against what that extractor takes.
+    parameters against what that extractor takes, and stores each value
+    read as :data:`_PARAMS` types it (a float must be finite).
     """
 
     perspective: str
@@ -202,7 +204,7 @@ class ExtractorSpec:
                 f"unknown perspective {self.perspective!r}; expected one of {known}"
             )
         if self.name not in names:
-            import difflib
+            import difflib  # only an error needs it, so analyses do not load it
 
             hint = difflib.get_close_matches(self.name, names, n=1)
             raise ConfigInvalid(
@@ -214,9 +216,19 @@ class ExtractorSpec:
             raise ConfigInvalid(
                 f"{where} takes parameters {list(wanted)}, got {sorted(self.params)}"
             )
-        aggs = self.params.get("aggregators", AGGREGATORS)
+        read = {}
+        for key, kind in wanted.items():
+            value = self.params[key]
+            try:
+                read[key] = kind(value)
+            except (TypeError, ValueError):
+                raise ConfigInvalid(f"{where}: {key} {value!r} is not a {kind.__name__}") from None
+            if kind is float and not np.isfinite(read[key]):
+                raise ConfigInvalid(f"{where}: {key} must be finite, got {value!r}")
+        aggs = read.get("aggregators", AGGREGATORS)
         if not aggs or any(a not in AGGREGATORS for a in aggs):
             raise ConfigInvalid(f"{where}: aggregators must be among {AGGREGATORS}, got {aggs}")
+        object.__setattr__(self, "params", read)
 
 
 _SPEC_RE = re.compile(r"^\s*(\w+)\s*:\s*(\w+)\s*(?:\(([^)]*)\))?\s*$")
@@ -230,17 +242,15 @@ def parse_spec(text: str) -> ExtractorSpec:
     perspective, name, argtext = m.groups()
     args = [a.strip() for a in (argtext or "").split(",") if a.strip()]
     kinds, params = _PARAMS.get(name, {}), {}
-    try:
-        for key, kind in kinds.items():
-            if kind is tuple:
-                params[key], args = tuple(args) or AGGREGATORS, []
-            elif args:
-                params[key] = kind(args.pop(0))
-    except ValueError as exc:
-        raise ConfigInvalid(f"{text!r}: {exc}") from None
+    for key, kind in kinds.items():
+        if kind is tuple:
+            params[key], args = tuple(args) or AGGREGATORS, []
+        elif args:
+            params[key] = args.pop(0)
+    spec = ExtractorSpec(perspective, name, params)  # an unknown extractor fails first
     if args:
         raise ConfigInvalid(f"{text!r}: {name} takes {len(kinds) or 'no'} argument(s)")
-    return ExtractorSpec(perspective, name, params)
+    return spec
 
 
 def render_spec(spec: ExtractorSpec) -> str:
@@ -254,7 +264,7 @@ def render_spec(spec: ExtractorSpec) -> str:
 
 
 def _trim(x: float) -> str:
-    return repr(int(x)) if float(x).is_integer() else repr(float(x))
+    return repr(int(x)) if x.is_integer() else repr(x)
 
 
 def _counts(bucket: np.ndarray, key, size: int, n: int) -> np.ndarray:
@@ -412,7 +422,7 @@ def _case_duration(g: _Grid, params: dict):
 
 def _overtime(g: _Grid, params: dict):
     bucket, durations = _case_ends(g)
-    return [""], _counts(bucket[durations > float(params["bound_seconds"])], 0, 1, g.n)
+    return [""], _counts(bucket[durations > params["bound_seconds"]], 0, 1, g.n)
 
 
 def _agg(g: _Grid, params: dict, resource_only: bool = False):
@@ -435,12 +445,8 @@ def _agg(g: _Grid, params: dict, resource_only: bool = False):
     return [f"{attr}.{agg}" for agg in aggs], np.vstack(rows)
 
 
-def _resource_agg(g: _Grid, params: dict):
-    return _agg(g, params, resource_only=True)
-
-
 def _threshold(g: _Grid, params: dict):
-    attr, bound = params["attr"], float(params["bound"])
+    attr, bound = params["attr"], params["bound"]
     level, value_type = _resolve_attr(g.log, attr)
     if value_type != NUMBER:
         raise TypeMismatch(
@@ -487,7 +493,7 @@ _EXTRACTORS = {
     ("data", "event_count"): _event_count,
     ("data", "case_count"): _case_count,
     ("resource", "workload"): _workload,
-    ("resource", "agg"): _resource_agg,
+    ("resource", "agg"): partial(_agg, resource_only=True),
 }
 
 
@@ -572,10 +578,8 @@ def build_time_series(
 
 def write_series_csv(matrix: TimeSeriesMatrix, path) -> None:
     """Write the matrix transposed: one row per interval, one column per feature."""
-    import csv as _csv
-
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["interval_start", "interval_end"] + matrix.label_strings())
         seq = matrix.intervals
         for j in range(len(seq)):

@@ -1,6 +1,7 @@
 """Ingestion: CSV and XES parsing, export roundtrips, error reporting."""
 
 import csv
+import hashlib
 from datetime import datetime
 
 import pytest
@@ -22,14 +23,15 @@ from driftscope.errors import (
 from driftscope.ingest import (
     CsvMapping,
     parse_csv,
-    parse_timestamp,
     parse_xes,
     write_csv,
     write_xes,
 )
+from driftscope.model import Case, Event, EventLog, sort_and_validate
 from driftscope.synthetic import GeneratorConfig, generate
 
 from conftest import CLAIMS_CSV, logs_equivalent
+from ingest_oracle import parse_timestamp
 
 MAPPING = CsvMapping(
     case_id_col="case",
@@ -497,3 +499,73 @@ def test_parse_csv_counts_naive_stamps_mixed_with_aware(tmp_path):
     log = parse_csv(_write(tmp_path, "aware.csv", text.replace("12:30", "12:30Z")),
                     _mapping_no_resource())
     assert log.meta == {}
+
+
+def test_parse_xes_non_finite_event_attribute_carries_the_event_number(tmp_path):
+    doc = XES_DOC.replace('<boolean key="urgent" value="true"/>',
+                          '<boolean key="urgent" value="true"/><float key="amount" value="nan"/>')
+    with pytest.raises(NonFiniteNumber) as err:
+        parse_xes(_write(tmp_path, "log.xes", doc))
+    assert err.value.row == 2 and "event #2" in str(err.value)
+
+
+# ---------------------------------------------------------------- writers
+
+
+def _typed_log(empty_text: bool) -> EventLog:
+    """Two cases with every attribute type at both levels, an int-valued
+    number, events without a resource and start/complete lifecycles."""
+    log = EventLog()
+    log.cases["c1"] = Case("c1", {"budget": 3, "vip": True, "opened": datetime(2020, 12, 1, 8),
+                                  "region": "" if empty_text else "north"}, [
+        Event("e1", "c1", "register", datetime(2021, 1, 4, 8, 0, 0, 250000), "ann", "start",
+              {"amount": 7, "urgent": False, "due": datetime(2021, 1, 9), "note": "first"}),
+        Event("e2", "c1", "register", datetime(2021, 1, 4, 9, 30), "ann", "complete",
+              {"amount": 2.5}),
+        Event("e3", "c1", "decide", datetime(2021, 1, 5, 10), None, None,
+              {"urgent": True, "note": "" if empty_text else "last"}),
+    ])
+    log.cases["c2"] = Case("c2", {"budget": 0.125, "region": "south"}, [
+        Event("e4", "c2", "register", datetime(2021, 1, 4, 11), None, "complete",
+              {"due": datetime(2021, 1, 10, 12, 15)}),
+    ])
+    return sort_and_validate(log)
+
+
+def test_xes_writer_roundtrips_every_attribute_type(tmp_path):
+    original = _typed_log(empty_text=True)
+    path = tmp_path / "log.xes"
+    write_xes(original, path)
+    again = parse_xes(path)
+    assert logs_equivalent(original, again)
+    assert again.cases["c1"].attrs["region"] == ""
+    assert again.cases["c1"].events[2].attrs["note"] == ""
+    assert again.cases["c1"].events[2].resource is None
+    assert again.event_attr_types == {"amount": "number", "urgent": "boolean",
+                                      "due": "timestamp", "note": "text"}
+
+
+@pytest.mark.parametrize("timestamp_format", [None, "%d/%m/%Y %H:%M:%S.%f"])
+def test_csv_writer_roundtrips_every_attribute_type(tmp_path, timestamp_format):
+    original = _typed_log(empty_text=False)
+    mapping = CsvMapping(
+        case_id_col="case", activity_col="activity", timestamp_col="time",
+        timestamp_format=timestamp_format, resource_col="resource", lifecycle_col="life",
+        event_attr_cols=("amount", "urgent", "due", "note", "absent"),
+        case_attr_cols=("budget", "vip", "opened", "region"), delimiter=";",
+    )
+    path = tmp_path / "log.csv"
+    write_csv(original, mapping, path)
+    again = parse_csv(path, mapping)
+    assert logs_equivalent(original, again)
+    assert again.case_attr_types == {"budget": "number", "vip": "boolean",
+                                     "opened": "timestamp", "region": "text"}
+    if timestamp_format:
+        assert "04/01/2021 08:00:00.250000" in path.read_text(encoding="utf-8")
+
+
+def test_xes_writer_bytes_are_pinned(tmp_path):
+    path = tmp_path / "log.xes"
+    write_xes(generate(GeneratorConfig(seed=2, days=4, cases_per_day=3, drift_day=2)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "2126bf6fde0ae387b2b9f666aa05681aef18c4e00322fa26d0a7932a94b9d90d")

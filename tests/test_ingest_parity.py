@@ -19,8 +19,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ingest_oracle as oracle
 from driftscope.errors import IngestionError, NonFiniteNumber, TimestampParse, ValidationError
-from driftscope.ingest import CsvMapping, _parse_stamps, parse_csv, parse_timestamp, parse_xes
+from driftscope.ingest import CsvMapping, _parse_stamps, parse_csv, parse_xes
 from driftscope.model import EventLog, sort_and_validate, to_us
+from ingest_oracle import parse_timestamp
 
 NEW_NOTES = ("skipped_container_attributes", "naive_timestamps_among_aware")
 

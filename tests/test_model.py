@@ -10,7 +10,9 @@ from driftscope.errors import (
     AttributeTypeMismatch,
     DriftscopeError,
     DuplicateEventId,
+    EmptyValue,
     EventInMultipleCases,
+    NonFiniteNumber,
 )
 from driftscope.model import (
     Case,
@@ -241,3 +243,39 @@ def test_catalogs_match_content(log):
         e.resource for e in log.iter_events() if e.resource is not None
     }
     assert len(project_attr(log, "activity")) == log.event_count
+
+
+# ------------------------------------------- values of a log built from objects
+
+
+def _draft(case_id="c1", activity="a", event_attrs=None, case_attrs=None) -> EventLog:
+    log = EventLog()
+    log.cases[case_id] = Case(case_id, dict(case_attrs or {}), [
+        Event("e1", case_id, "a", datetime(2021, 1, 1, 9)),
+        Event("e2", case_id, activity, datetime(2021, 1, 1, 10), attrs=dict(event_attrs or {})),
+    ])
+    return log
+
+
+@pytest.mark.parametrize("case_id", ["", "  ", None])
+def test_object_log_rejects_an_empty_case_id(case_id):
+    with pytest.raises(EmptyValue) as err:
+        sort_and_validate(_draft(case_id=case_id))
+    assert "case #1" in str(err.value) and "case_id" in str(err.value)
+
+
+@pytest.mark.parametrize("activity", ["", " ", None])
+def test_object_log_rejects_an_empty_activity(activity):
+    with pytest.raises(EmptyValue) as err:
+        sort_and_validate(_draft(activity=activity))
+    assert "'e2'" in str(err.value) and "activity" in str(err.value)
+
+
+@pytest.mark.parametrize("level,value", [("event", float("nan")), ("event", float("inf")),
+                                         ("case", float("-inf"))])
+def test_object_log_rejects_a_non_finite_number(level, value):
+    draft = _draft(**{f"{level}_attrs": {"amount": value}})
+    with pytest.raises(NonFiniteNumber) as err:
+        sort_and_validate(draft)
+    assert err.value.key == "amount"
+    assert ("'e2'" if level == "event" else "'c1'") in str(err.value)

@@ -405,8 +405,10 @@ def test_parse_spec_basic_forms():
         "data:agg(age,median)",
         "data:threshold(age)",
         "data:threshold(age,soon)",
+        "data:threshold(age,nan)",
         "performance:overtime",
         "performance:overtime(a,b)",
+        "performance:overtime(inf)",
     ],
 )
 def test_parse_spec_rejects(text):
@@ -418,6 +420,30 @@ def test_parse_spec_suggests_close_name():
     with pytest.raises(ConfigInvalid) as err:
         parse_spec("control_flow:dff")
     assert "did you mean control_flow:df?" in str(err.value)
+
+
+def test_parse_spec_names_an_unknown_extractor_before_counting_its_arguments():
+    with pytest.raises(ConfigInvalid) as err:
+        parse_spec("control_flow:dff(x)")
+    assert "did you mean control_flow:df?" in str(err.value)
+
+
+@pytest.mark.parametrize("params", [{"attr": "age", "bound": "x"},
+                                    {"attr": "age", "bound": float("nan")},
+                                    {"attr": "age", "bound": None}])
+def test_hand_built_spec_reads_its_values_at_construction(params):
+    with pytest.raises(ConfigInvalid) as err:
+        ExtractorSpec("data", "threshold", params)
+    assert "bound" in str(err.value)
+
+
+def test_hand_built_spec_stores_values_as_parsed():
+    spec = ExtractorSpec("performance", "overtime", {"bound_seconds": "3600"})
+    assert spec == parse_spec("performance:overtime(3600)")
+    assert spec.params["bound_seconds"] == 3600.0
+    assert render_spec(spec) == "performance:overtime(3600)"
+    agg = ExtractorSpec("data", "agg", {"attr": "age", "aggregators": ["avg", "count"]})
+    assert agg.params["aggregators"] == ("avg", "count")
 
 
 @pytest.mark.parametrize(
