@@ -1,23 +1,28 @@
 """Event-log ingestion and export: delimited text files and XES.
 
-Both parsers hand plain per-event lists to
-:func:`~driftscope.model.columnar_log` and build no per-event objects. The
-CSV reader understands RFC-4180 quoting with a configurable delimiter; it
-reads all rows once and transposes them into columns. A :class:`CsvMapping`
-names the columns holding the mandatory fields (case id, activity,
-timestamp) plus any optional ones, and may carry a ``strftime`` pattern for
-non-ISO timestamps. Attribute columns are typed by inference over the whole
-file: a column where every non-empty value parses as a
+Both parsers code their case ids, activities, resources and lifecycles
+through :func:`~driftscope.model.coded`, hand the codes and the other
+per-event values to :func:`~driftscope.model.columnar_log`, and build no
+per-event objects. The CSV reader understands RFC-4180 quoting with a
+configurable delimiter. It reads ``_BLOCK_ROWS`` rows at a time and keeps
+only stamps, codes and the attribute texts (interned per column) between
+blocks, so a CSV costs its finished columns plus about one block of Python
+strings: 4,096-row blocks peak at about twice the file's size. A
+:class:`CsvMapping` names the columns holding the mandatory fields (case id,
+activity, timestamp) plus any optional ones, and may carry a ``strftime``
+pattern for non-ISO timestamps. Attribute columns are typed by inference
+over the whole file: a column where every non-empty value parses as a
 boolean/number/timestamp gets that type, otherwise it stays text.
 
-Naive ISO-8601 stamps of the shapes in ``_iso_bytes`` are parsed in one
-numpy call; every other stamp (an offset, a ``Z``, other shapes, a
-``timestamp_format``) goes one by one through :func:`_parse_datetime`, and both
-give the same microseconds. A number that parses to NaN or an infinity, in a CSV
-cell or an XES int/float attribute, is an error that names its row or event
-and column. A file that is not UTF-8 or that ``csv`` cannot split raises
-:class:`~driftscope.errors.RowUnreadable` naming the row. When several rows
-are bad, the error names the first one.
+ISO-8601 stamps of the shapes in ``_iso_bytes``, naive or ending in ``Z`` or
+``±hh:mm``, are parsed in one numpy call; every other stamp goes one by one
+through :func:`_parse_datetime`, and both give the same microseconds. A number
+that parses to NaN or an infinity, in a CSV cell or an XES int/float
+attribute, is an error that names its row or event and column. A file that
+is not UTF-8 or that ``csv`` cannot split raises
+:class:`~driftscope.errors.RowUnreadable` naming the row, before any other
+error, so the CSV reader reads the whole file before it raises a cell error.
+When several rows are bad, the error names the first one.
 
 The XES reader streams the document through expat and covers the
 trace/event subset of IEEE 1849-2016 with string/date/int/float/boolean
@@ -39,7 +44,8 @@ import gc
 import io
 import json
 import math
-from itertools import compress
+from collections import deque
+from itertools import compress, islice
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, fields
 from datetime import datetime
@@ -68,6 +74,7 @@ from .model import (
     TEXT,
     TIMESTAMP,
     Attribute,
+    Coder,
     EventLog,
     coded,
     columnar_log,
@@ -155,16 +162,28 @@ def _stamp_error(where: str, text: str, exc: Exception, row: int | None) -> Time
     return TimestampParse(f"{where}cannot parse timestamp {text!r}: {exc}", row=row)
 
 
+#: The widest :func:`_iso_bytes` shape, ``dddd-dd-ddTdd:dd:dd.dddddd+dd:dd``.
+_WIDTH = 32
+_US_RANGE = to_us(datetime.min), to_us(datetime.max)
+
+
 @cache
-def _iso_bytes() -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Naive ISO-8601 shapes that numpy parses as Python 3.10 and 3.11 do, by
-    length (``d`` a digit, ``T`` the separator ``T`` or a space): the lowest
-    byte allowed at each position and how far above it the allowed bytes reach."""
-    shapes = ("dddd-dd-dd", "dddd-dd-ddTdd:dd", "dddd-dd-ddTdd:dd:dd",
-              "dddd-dd-ddTdd:dd:dd.ddd", "dddd-dd-ddTdd:dd:dd.dddddd")
-    return {len(shape): (np.frombuffer(shape.replace("d", "0").ljust(26, "\0").encode(), np.uint8),
-                         np.array([9 * (ch == "d") for ch in shape.ljust(26)], np.uint8))
-            for shape in shapes}
+def _iso_bytes() -> dict[int, tuple[np.ndarray, np.ndarray, int]]:
+    """ISO-8601 shapes that numpy parses as Python 3.10 and 3.11 do, by length
+    (``d`` a digit, ``T`` the separator ``T`` or a space, ``+`` the sign of a
+    UTC offset): the lowest byte allowed at each position, how far above it
+    the allowed bytes reach, and the length of the naive part. A date alone
+    takes no suffix, as Python reads ``2021-01-04+01:00`` as 01:00 that day."""
+    times = ("dddd-dd-ddTdd:dd", "dddd-dd-ddTdd:dd:dd", "dddd-dd-ddTdd:dd:dd.ddd",
+             "dddd-dd-ddTdd:dd:dd.dddddd")
+    shapes = [("dddd-dd-dd", 10)]
+    shapes += [(t + suffix, len(t)) for t in times for suffix in ("", "Z", "+dd:dd")]
+    return {len(shape): (np.frombuffer(shape.replace("d", "0").ljust(_WIDTH, "\0").encode(),
+                                       np.uint8),
+                         np.array([9 * (ch == "d") + 2 * (ch == "+") for ch in shape.ljust(_WIDTH)],
+                                  np.uint8),
+                         naive)
+            for shape, naive in shapes}
 
 
 def _parse_stamps(texts: list[str], fmt: str | None = None):
@@ -172,24 +191,37 @@ def _parse_stamps(texts: list[str], fmt: str | None = None):
     an offset, and ``(index, error)`` of the first text that does not parse.
 
     Texts of an :func:`_iso_bytes` shape (year 0 excepted) are parsed by numpy in
-    one call; the rest one by one through :func:`_parse_datetime`."""
+    one call, their offsets subtracted in numpy; the rest, and a stamp whose
+    offset or UTC instant Python may not accept, one by one through
+    :func:`_parse_datetime`."""
     n = len(texts)
-    us, aware, fast = np.zeros(n, np.int64), np.zeros(n, bool), np.zeros(n, bool)
+    us, fast, zoned = np.zeros(n, np.int64), np.zeros(n, bool), np.zeros(n, bool)
     if fmt is None and n:
         lengths = np.fromiter(map(len, texts), np.intp, n)
         try:
-            raw = np.array(texts, dtype="S26")
+            stamps = np.array(texts, dtype=f"S{_WIDTH}")
         except UnicodeEncodeError:
-            raw = np.array([t.encode("ascii", "replace") for t in texts], dtype="S26")
-        for length, (low, span) in _iso_bytes().items():
+            stamps = np.array([t.encode("ascii", "replace") for t in texts], dtype=f"S{_WIDTH}")
+        raw, shift = stamps.view(np.uint8).reshape(n, _WIDTH), np.zeros(n, np.int64)
+        for length, (low, span, naive) in _iso_bytes().items():
             rows = np.flatnonzero(lengths == length)
-            codes = raw[rows].view(np.uint8).reshape(len(rows), 26)
+            codes = raw[rows]
             codes[codes == 32] = 84  # a space separates date and time as a T does
             fast[rows] = ((codes - low) <= span).all(axis=1) & (codes[:, :4] != 48).any(axis=1)
+            if length > naive + 1:  # ±hh:mm; 44 less the sign byte is 1 for +, -1 for -
+                sign = 44 - codes[:, naive].astype(np.int64)
+                digits = codes[:, naive + 1:length].astype(np.int64) - 48  # hh:mm
+                hours, minutes = digits[:, 0] * 10 + digits[:, 1], digits[:, 3] * 10 + digits[:, 4]
+                fast[rows] &= (sign != 0) & (hours < 24) & (minutes < 60)
+                shift[rows] = sign * (hours * 60 + minutes) * 60_000_000
+            zoned[rows] = length > naive
+            raw[rows, naive:] = 0  # numpy reads the naive part
         try:
-            us[fast] = raw[fast].astype("datetime64[us]").view(np.int64)
+            us[fast] = stamps[fast].astype("datetime64[us]").view(np.int64) - shift[fast]
         except ValueError:  # a field out of range: the loop below names it
             fast[:] = False
+        fast &= (_US_RANGE[0] <= us) & (us <= _US_RANGE[1])  # else Python's OverflowError
+    aware = fast & zoned
     slow, values, offsets, bad = np.flatnonzero(~fast).tolist(), [], [], None
     for i in slow:
         try:
@@ -204,36 +236,69 @@ def _parse_stamps(texts: list[str], fmt: str | None = None):
     return us, aware, bad
 
 
-def _read_columns(path, mapping: CsvMapping) -> dict[str, list[str]]:
-    """The mapped columns' stripped cells, one list per column, header excluded."""
+#: Rows read and coded at a time. Between blocks the reader keeps only the
+#: codes, the stamps and the interned attribute texts.
+_BLOCK_ROWS = 1 << 16
+
+
+def _read_columns(path, mapping: CsvMapping):
+    """Read the file a block of rows at a time, header excluded. Returns a
+    :class:`~driftscope.model.Coder` of each mapped case id, activity,
+    resource and lifecycle column, by name; the stamps in microseconds and
+    which of them carried an offset; the first bad stamp as ``(row index,
+    text, error)``; and each attribute column's stripped cells, interned per
+    column."""
+    coders = {col: Coder() for col in (mapping.case_id_col, mapping.activity_col,
+                                       mapping.resource_col, mapping.lifecycle_col) if col}
+    attrs = {col: ({}, []) for col in (*mapping.event_attr_cols, *mapping.case_attr_cols)}
+    stamps, aware, first_bad, n = [], [], None, 0
     collecting = gc.isenabled()
-    gc.disable()  # millions of fresh row lists the collector need not walk
+    gc.disable()  # many fresh row lists the collector need not walk
     try:
-        try:
-            with open(path, encoding="utf-8", newline="") as fh:
-                rows = list(csv.reader(fh, delimiter=mapping.delimiter))
-        except (UnicodeDecodeError, csv.Error):
-            raise _unreadable(path, mapping.delimiter) from None
-        if not rows:
-            raise EmptyLog(f"{path}: file is empty")
-        header = rows.pop(0)
-        colidx: dict[str, int] = {}
-        for i, name in enumerate(header):
-            colidx.setdefault(name.strip(), i)
-        for col in mapping.columns():
-            if col not in colidx:
-                raise MissingColumn(f"{path}: column {col!r} not found in header {header}")
-        if not rows:
-            raise EmptyLog(f"{path}: no data rows")
-        width = max(colidx[col] for col in mapping.columns()) + 1
-        if min(map(len, rows)) < width:
-            rows = [r + [""] * (width - len(r)) for r in rows]
-        transposed = list(zip(*rows))
-        del rows
-        return {col: list(map(str.strip, transposed[colidx[col]])) for col in mapping.columns()}
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh, delimiter=mapping.delimiter)
+            try:
+                header = next(reader, None)
+                if header is None:
+                    raise EmptyLog(f"{path}: file is empty")
+                colidx: dict[str, int] = {}
+                for i, name in enumerate(header):
+                    colidx.setdefault(name.strip(), i)
+                missing = [col for col in mapping.columns() if col not in colidx]
+                if missing:
+                    deque(reader, maxlen=0)  # an unreadable row anywhere is named first
+                    raise MissingColumn(
+                        f"{path}: column {missing[0]!r} not found in header {header}")
+                width = max(colidx[col] for col in mapping.columns()) + 1
+                for rows in iter(lambda: list(islice(reader, _BLOCK_ROWS)), []):
+                    if min(map(len, rows)) < width:
+                        rows = [r + [""] * (width - len(r)) for r in rows]
+                    transposed = list(zip(*rows))
+                    del rows
+                    cells = {col: list(map(str.strip, transposed[colidx[col]]))
+                             for col in mapping.columns()}
+                    del transposed
+                    for col, coder in coders.items():
+                        coder.add(cells[col])
+                    texts = cells[mapping.timestamp_col]
+                    us, offset, bad = _parse_stamps(texts, mapping.timestamp_format)
+                    if bad is not None and first_bad is None:
+                        first_bad = n + bad[0], texts[bad[0]], bad[1]
+                    stamps.append(us)
+                    aware.append(offset)
+                    for col, (pool, kept) in attrs.items():
+                        kept += map(pool.setdefault, cells[col], cells[col])
+                    n += len(us)
+                    del cells, texts  # free this block's strings before the next is read
+            except (UnicodeDecodeError, csv.Error):
+                raise _unreadable(path, mapping.delimiter) from None
     finally:
         if collecting:
             gc.enable()
+    if not n:
+        raise EmptyLog(f"{path}: no data rows")
+    return (coders, np.concatenate(stamps), np.concatenate(aware), first_bad,
+            {col: kept for col, (_, kept) in attrs.items()})
 
 
 def _unreadable(path, delimiter: str) -> RowUnreadable:
@@ -288,28 +353,25 @@ def parse_csv(path: str | Path, mapping: CsvMapping) -> EventLog:
     checked, and each later value that differs is counted in
     ``log.meta["case_attr_conflicts"]``.
     """
-    cols = _read_columns(path, mapping)
-    case_text, act_text = cols[mapping.case_id_col], cols[mapping.activity_col]
-    n = len(case_text)
+    coders, time_us, aware, bad_stamp, attr_texts = _read_columns(path, mapping)
     # (row index, check, error): a row-by-row reading meets the least first
     failures = []
-    if "" in case_text or "" in act_text:
-        i = min(t.index("") for t in (case_text, act_text) if "" in t)
-        col = mapping.activity_col if case_text[i] else mapping.case_id_col
+    empty = [(coders[col].first[""], col) for col in (mapping.case_id_col, mapping.activity_col)
+             if "" in coders[col].first]
+    if empty:
+        i, col = min(empty, key=lambda e: e[0])  # the case id's column on a tie
         failures.append((i, 0, EmptyValue(f"row {i + 2}: column {col!r} is empty", row=i + 2)))
-    stamps = cols[mapping.timestamp_col]
-    time_us, aware, bad = _parse_stamps(stamps, mapping.timestamp_format)
-    if bad is not None:
-        i = bad[0]
-        failures.append((i, 1, _stamp_error(f"row {i + 2}: ", stamps[i], bad[1], i + 2)))
+    if bad_stamp is not None:
+        i, text, exc = bad_stamp
+        failures.append((i, 1, _stamp_error(f"row {i + 2}: ", text, exc, i + 2)))
     attr_cols = [(col, True) for col in mapping.event_attr_cols]
     attr_cols += [(col, False) for col in mapping.case_attr_cols]
-    typed = [_csv_values(cols[col], col) for col, _ in attr_cols]
+    typed = [_csv_values(attr_texts[col], col) for col, _ in attr_cols]
     failures += [(f[0], check, f[1]) for check, (*_, f) in enumerate(typed, start=2) if f]
     if failures:
         raise min(failures, key=lambda f: f[:2])[2]
 
-    case_ids, case = coded(case_text)
+    case_ids, case = coders[mapping.case_id_col].result()
     event_attrs, case_attrs, conflicts = {}, {}, 0
     for (col, per_event), (vtype, rows, values, _) in zip(attr_cols, typed):
         if per_event and len(rows):
@@ -319,14 +381,15 @@ def parse_csv(path: str | Path, mapping: CsvMapping) -> EventLog:
             _, first, inverse = np.unique(owners, return_index=True, return_inverse=True)
             case_attrs[col] = owners[first], vtype, values[first]
             conflicts += int(np.count_nonzero(values != values[first][inverse]))
+    n = len(time_us)
     meta = {"case_attr_conflicts": conflicts,
             "naive_timestamps_among_aware": n - int(aware.sum()) if aware.any() else 0}
     # an empty resource or lifecycle cell is no value
-    texts = {col: [t or None for t in cols[col]]
-             for col in (mapping.resource_col, mapping.lifecycle_col) if col}
+    resource, lifecycle = (coders[col].result("") if col else None
+                           for col in (mapping.resource_col, mapping.lifecycle_col))
     return sort_and_validate(columnar_log(
-        case_ids, case, act_text, texts.get(mapping.resource_col),
-        texts.get(mapping.lifecycle_col), time_us, event_attrs, case_attrs, meta))
+        (case_ids, case), coders[mapping.activity_col].result(), resource, lifecycle, time_us,
+        event_attrs, case_attrs, meta))
 
 
 def write_csv(log: EventLog, mapping: CsvMapping, path: str | Path) -> None:
@@ -556,8 +619,9 @@ def parse_xes(path: str | Path) -> EventLog:
     attrs = {False: {}, True: {}}
     for (per_event, key), (owners, types, values, _) in finals.items():
         attrs[per_event][key] = owners, types, values
-    return sort_and_validate(columnar_log(case_ids, event_trace, activity, resource, lifecycle,
-                                          time_us, attrs[True], attrs[False], meta))
+    return sort_and_validate(columnar_log((case_ids, event_trace), coded(activity), coded(resource),
+                                          coded(lifecycle), time_us, attrs[True], attrs[False],
+                                          meta))
 
 
 def _final(finals: dict, per_event: bool, key: str):

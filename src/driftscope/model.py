@@ -7,12 +7,14 @@ Attribute values are restricted to numbers, text, booleans and timestamps,
 and a given key must carry one type throughout a log.
 
 A validated log stores its events once, as the parallel arrays of a
-:class:`LogColumns`. Every source hands its per-event values to
-:func:`columnar_log`, which codes the catalogs, reads the lifecycles and
-stores the attributes, rejecting a key that mixes types: the parsers, the
-generator, and :func:`sort_and_validate` for a draft (``EventLog()``, which
-holds only ``cases`` and ``meta``) filled with :class:`Case` and :class:`Event`
-objects, after checking their ids and values as the parsers check cells.
+:class:`LogColumns`. Every source codes its case ids, activities, resources
+and lifecycles through :func:`coded` (the CSV reader a block at a time,
+through :class:`Coder`) and hands the codes and the other per-event values to
+:func:`columnar_log`, which reads the lifecycles and stores the attributes,
+rejecting a key that mixes types: the parsers, the generator, and
+:func:`sort_and_validate` for a draft (``EventLog()``, which holds only
+``cases`` and ``meta``) filled with :class:`Case` and :class:`Event` objects,
+after checking their ids and values as the parsers check cells.
 :func:`sort_and_validate` then orders the events and sorts the catalogs.
 After that the log is treated as immutable and the package reads only its
 columns: the extractors through :attr:`EventLog.table`, the writers directly.
@@ -380,38 +382,37 @@ class EventTable:
         return out
 
 
-def columnar_log(case_ids: list[str], case: np.ndarray, activity: list[str],
-                 resource: list | None, lifecycle: list | None, time_us: np.ndarray,
-                 event_attrs: dict, case_attrs: dict, meta: dict,
+def columnar_log(case: tuple, activity: tuple, resource: tuple | None, lifecycle: tuple | None,
+                 time_us: np.ndarray, event_attrs: dict, case_attrs: dict, meta: dict,
                  event_ids: list[str] | None = None) -> EventLog:
     """An unvalidated log of per-event values in ingestion order, for
     :func:`sort_and_validate`; every way of building a log goes through here.
 
-    ``case`` codes each event into ``case_ids``. ``resource`` and
-    ``lifecycle`` hold a text or None per event; None for the whole list
-    means the log has no such field. A lifecycle of start or complete is read
-    without regard to case; any other text is dropped and counted in
-    ``ignored_lifecycle_transitions``. ``event_attrs`` and ``case_attrs`` map
-    each key to its typed records ``(rows, types, values)`` as
-    :meth:`Attribute.of` takes them; it rejects a key that mixes types. Only
-    ``meta``'s non-zero counts are kept. ``event_ids`` defaults to ``e1``, ``e2``, ...
+    ``case``, ``activity``, ``resource`` and ``lifecycle`` are each a catalog
+    and an int32 code per event, as :func:`coded` gives them (-1: no value);
+    None for the whole resource or lifecycle means the log has no such
+    field. A lifecycle of start or complete is read without regard to case;
+    any other text is dropped and counted in ``ignored_lifecycle_transitions``.
+    ``event_attrs`` and ``case_attrs`` map each key to its typed records
+    ``(rows, types, values)`` as :meth:`Attribute.of` takes them; it rejects a
+    key that mixes types. Only ``meta``'s non-zero counts are kept.
+    ``event_ids`` defaults to ``e1``, ``e2``, ...
     """
     n = len(time_us)
     kind, ignored = np.zeros(n, dtype=np.int8), 0
     if lifecycle is not None:
-        names, codes = coded(lifecycle)
+        names, codes = lifecycle
         lower = [str(name).lower() for name in names]
         known = [LIFECYCLES.index(k) if k in LIFECYCLES else 0 for k in lower]
-        kind = np.array(known + [0], dtype=np.int8)[codes]  # code -1 (None) takes the 0
+        kind = np.array(known + [0], dtype=np.int8)[codes]  # code -1 (no value) takes the 0
         ignored = int(np.count_nonzero(codes >= 0)) - int(np.count_nonzero(kind))
     note = "ignored_lifecycle_transitions"
     counts = {**meta, note: meta.get(note, 0) + ignored}
     if resource is None:
-        resources, resource = (), np.full(n, -1, dtype=np.int32)
-    else:
-        resources, resource = coded(resource)
+        resource = (), np.full(n, -1, dtype=np.int32)
+    case_ids, case = case
     columns = LogColumns(
-        list(case_ids), case, *coded(activity), resources, resource, kind, time_us,
+        list(case_ids), case, *activity, *resource, kind, time_us,
         {key: Attribute.of(f"event attribute {key!r}", n, *records)
          for key, records in event_attrs.items()},
         {key: Attribute.of(f"case attribute {key!r}", len(case_ids), *records)
@@ -457,11 +458,11 @@ def sort_and_validate(log: EventLog) -> EventLog:
                 owner[e.event_id] = code
             events += case.events
         ids = [e.event_id for e in events]
+        codes = np.repeat(np.arange(len(cases), dtype=np.int32), [len(c.events) for c in cases])
         log = columnar_log(
-            [case.case_id for case in cases],
-            np.repeat(np.arange(len(cases), dtype=np.int32), [len(case.events) for case in cases]),
-            [e.activity for e in events], [e.resource for e in events],
-            [e.lifecycle for e in events],
+            ([case.case_id for case in cases], codes),
+            coded([e.activity for e in events]), coded([e.resource for e in events]),
+            coded([e.lifecycle for e in events]),
             np.array([_us(e.timestamp, "event", e.event_id) for e in events], dtype=np.int64),
             _records([e.attrs for e in events], "event", ids),
             _records([case.attrs for case in cases], "case", [case.case_id for case in cases]),
@@ -501,21 +502,44 @@ def _sorted_codes(names: tuple, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
     return tuple(names[i] for i in order), rank[codes]
 
 
-def coded(values: list) -> tuple[tuple, np.ndarray]:
-    """Distinct values in first-appearance order and an int32 code per value.
+class Coder:
+    """Codes values into their distinct values, in first-appearance order, a
+    block of values at a time. Between blocks it keeps only each distinct
+    value with its first row, and for each value added the number of that row."""
 
-    ``None`` is not a value: its code is -1.
-    """
-    first: dict = {}
-    # each value's first row, in one C-level pass; ranking those rows gives the codes
-    rows = np.fromiter(map(first.setdefault, values, count()), np.int64, len(values))
-    heads, codes = np.unique(rows, return_inverse=True)
-    names = [values[i] for i in heads.tolist()]
-    if None in first:
-        none = names.index(None)
-        del names[none]
-        codes = np.where(codes == none, -1, codes - (codes > none))
-    return tuple(names), codes.astype(np.int32)
+    def __init__(self):
+        self.first: dict = {}  # each value's first row, in first-appearance order
+        self._rows: list[np.ndarray] = []
+        self._n = 0
+
+    def add(self, values: list) -> None:
+        # each value's first row, in one C-level pass
+        self._rows.append(np.fromiter(map(self.first.setdefault, values, count(self._n)),
+                                      np.int64, len(values)))
+        self._n += len(values)
+
+    def result(self, absent=None) -> tuple[tuple, np.ndarray]:
+        """The distinct values and an int32 code per value added; ``absent`` is
+        not a value: its code is -1."""
+        names = list(self.first)
+        number = np.arange(len(names), dtype=np.int32)
+        if absent in self.first:
+            gone = names.index(absent)
+            del names[gone]
+            number[gone + 1:] -= 1
+            number[gone] = -1
+        # a value's code is its first row's rank; only first rows are looked up
+        rank = np.empty(self._n, np.int32)
+        rank[np.fromiter(self.first.values(), np.int64, len(number))] = number
+        return tuple(names), rank[np.concatenate(self._rows)]
+
+
+def coded(values: list, absent=None) -> tuple[tuple, np.ndarray]:
+    """Distinct values in first-appearance order and an int32 code per value;
+    ``absent`` is not a value: its code is -1."""
+    coder = Coder()
+    coder.add(values)
+    return coder.result(absent)
 
 
 def _records(dicts: list[dict], level: str, names: list[str]) -> dict[str, tuple[list, list, list]]:

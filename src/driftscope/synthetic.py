@@ -27,7 +27,7 @@ from itertools import cycle, islice
 import numpy as np
 
 from .errors import ConfigInvalid
-from .model import NUMBER, EventLog, columnar_log, sort_and_validate, to_us
+from .model import NUMBER, EventLog, coded, columnar_log, sort_and_validate, to_us
 
 ACTIVITY_REGISTER = "register"
 ACTIVITY_SUBMIT = "submit_claim"
@@ -126,8 +126,8 @@ def generate(config: GeneratorConfig) -> EventLog:
     # five events per case, the age on each register event, resources in turn
     n = len(stamps)
     return sort_and_validate(columnar_log(
-        case_ids, np.repeat(np.arange(len(case_ids), dtype=np.int32), 5), activity,
-        list(islice(cycle(config.resource_pool), n)), None,
+        (case_ids, np.repeat(np.arange(len(case_ids), dtype=np.int32), 5)), coded(activity),
+        coded(list(islice(cycle(config.resource_pool), n))), None,
         np.fromiter(map(to_us, stamps), np.int64, n),
         {"age": (np.arange(0, n, 5), NUMBER, ages)}, {}, {},
     ))

@@ -7,20 +7,35 @@ the catalogs, ``meta`` and every field of the object view) or fail with the
 same exception class at the same row or event. Ingest notes the oracle did
 not keep (``NEW_NOTES``) are left out of the ``meta`` comparison, and a row
 or event number is compared where the oracle gives one. Fuzzed input must
-fail, if at all, with an ingestion or validation error (exit 3).
+fail, if at all, with an ingestion or validation error (exit 3). The CSV
+reader also runs at block sizes of 1, 2 and 3 rows, where it must match the
+oracle and give what it gives at its own block size: the same columns and
+``meta`` bit for bit, or the same exception class, message and row.
 """
 
 from __future__ import annotations
 
+import tracemalloc
+from dataclasses import fields
 from datetime import datetime
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ingest_oracle as oracle
-from driftscope.errors import IngestionError, NonFiniteNumber, TimestampParse, ValidationError
-from driftscope.ingest import CsvMapping, _parse_stamps, parse_csv, parse_xes
-from driftscope.model import EventLog, sort_and_validate, to_us
+from driftscope import ingest
+from driftscope.cli import main
+from driftscope.errors import (
+    EmptyValue,
+    IngestionError,
+    NonFiniteNumber,
+    RowUnreadable,
+    TimestampParse,
+    ValidationError,
+)
+from driftscope.ingest import CsvMapping, _parse_datetime, _parse_stamps, parse_csv, parse_xes
+from driftscope.model import EventLog, LogColumns, sort_and_validate, to_us
 from ingest_oracle import parse_timestamp
 
 NEW_NOTES = ("skipped_container_attributes", "naive_timestamps_among_aware")
@@ -299,6 +314,181 @@ def test_fuzzed_xes_fails_only_with_ingestion_errors(tmp_path, data):
     _fails_cleanly(parse_xes, path)
 
 
+# -------------------------------------------------------------- blocks
+
+#: Block sizes that put a block boundary between almost every pair of rows.
+SMALL_BLOCKS = [1, 2, 3]
+
+
+def _at_block(rows: int, parse):
+    """``parse`` with the CSV reader taking ``rows`` rows at a time."""
+    def run(path):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_BLOCK_ROWS", rows)
+            return parse(path)
+    return run
+
+
+def _same(x, y) -> bool:
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, np.ndarray):
+        if x.dtype != y.dtype or x.shape != y.shape:
+            return False
+        return x.tolist() == y.tolist() if x.dtype == object else x.tobytes() == y.tobytes()
+    if isinstance(x, dict):
+        return x.keys() == y.keys() and all(all(map(_same, x[k], y[k])) for k in x)
+    return x == y
+
+
+def assert_same_outcome(path, new_parse, old_parse) -> None:
+    """The same exception (class, message and row), or logs whose columns and
+    ``meta`` agree bit for bit."""
+    new, new_err = _outcome(new_parse, path)
+    old, old_err = _outcome(old_parse, path)
+    if old_err is not None or new_err is not None:
+        assert type(new_err) is type(old_err), (new_err, old_err)
+        assert str(new_err) == str(old_err) and _place(new_err) == _place(old_err)
+        return
+    assert new.meta == old.meta
+    for field in fields(LogColumns):
+        assert _same(getattr(new.columns, field.name), getattr(old.columns, field.name)), field
+
+
+def _csv(path):
+    return parse_csv(path, MAPPING)
+
+
+@pytest.mark.parametrize("rows", SMALL_BLOCKS)
+@SETTINGS
+@given(text=csv_texts())
+def test_property_csv_parity_across_block_boundaries(tmp_path, rows, text):
+    path = tmp_path / "log.csv"
+    path.write_text(text, encoding="utf-8")
+    assert_same(path, _at_block(rows, _csv), lambda p: oracle.parse_csv(p, MAPPING))
+    assert_same_outcome(path, _at_block(rows, _csv), _csv)
+
+
+@pytest.mark.parametrize("rows", SMALL_BLOCKS)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_csv_agrees_across_block_boundaries(tmp_path, rows, data):
+    path = tmp_path / "log.csv"
+    path.write_bytes(_mutated(data.draw, data.draw(csv_texts())))
+    _fails_cleanly(_at_block(rows, _csv), path)
+    assert_same_outcome(path, _at_block(rows, _csv), _csv)
+
+
+def _good_rows(n: int) -> list[list[str]]:
+    """``n`` rows that parse, in the columns of ``_CELLS``."""
+    return [[f"c{i // 2}", "ab"[i % 2], f"2021-06-15 1{i % 10}:30", "Peter", "complete",
+             str(i), "true", "web", "2021-06-15", "1", "north"] for i in range(n)]
+
+
+def _write_rows(path, rows) -> None:
+    path.write_text("\n".join(",".join(r) for r in [list(_CELLS), *rows]) + "\n",
+                    encoding="utf-8")
+
+
+_BAD_CELLS = [("case", "", EmptyValue), ("activity", "", EmptyValue),
+              ("ts", "yesterday", TimestampParse), ("amount", "inf", NonFiniteNumber),
+              ("budget", "-inf", NonFiniteNumber)]
+
+
+@pytest.mark.parametrize("rows", SMALL_BLOCKS)
+@pytest.mark.parametrize("side", [-1, 0])
+@pytest.mark.parametrize("col, cell, error", _BAD_CELLS)
+def test_a_bad_cell_beside_a_block_boundary(tmp_path, rows, side, col, cell, error):
+    # the bad row is the last of the second block (side -1) or the first of the third (0)
+    bad = 2 * rows + side
+    data = _good_rows(3 * rows + 2)
+    data[bad][list(_CELLS).index(col)] = cell
+    path = tmp_path / "log.csv"
+    _write_rows(path, data)
+    with pytest.raises(error) as err:
+        _at_block(rows, _csv)(path)
+    assert err.value.row == bad + 2
+    assert_same(path, _at_block(rows, _csv), lambda p: oracle.parse_csv(p, MAPPING))
+    assert_same_outcome(path, _at_block(rows, _csv), _csv)
+
+
+@pytest.mark.parametrize("rows", SMALL_BLOCKS)
+def test_the_least_row_wins_across_a_block_boundary(tmp_path, rows):
+    # a later check on the last row of block 1 beats an earlier check on block 2's first row
+    data = _good_rows(2 * rows + 1)
+    data[rows - 1][list(_CELLS).index("amount")] = "nan"
+    data[rows][list(_CELLS).index("case")] = ""
+    path = tmp_path / "log.csv"
+    _write_rows(path, data)
+    with pytest.raises(NonFiniteNumber) as err:
+        _at_block(rows, _csv)(path)
+    assert err.value.row == rows + 1
+    assert_same_outcome(path, _at_block(rows, _csv), _csv)
+
+
+@pytest.mark.parametrize("rows", SMALL_BLOCKS)
+def test_short_rows_only_in_a_later_block(tmp_path, rows):
+    data = _good_rows(3 * rows)
+    for row in data[2 * rows:]:
+        del row[-3:]  # no when, budget or region
+    path = tmp_path / "log.csv"
+    _write_rows(path, data)
+    log = _at_block(rows, _csv)(path)
+    assert log.columns.event_attrs["when"].present.sum() == 2 * rows
+    assert_same(path, _at_block(rows, _csv), lambda p: oracle.parse_csv(p, MAPPING))
+    assert_same_outcome(path, _at_block(rows, _csv), _csv)
+
+
+def test_an_unreadable_row_in_block_3_beats_a_bad_stamp_in_block_1(tmp_path):
+    rows = 200
+    lines = [",".join(r) for r in [list(_CELLS), *_good_rows(3 * rows - 1)]]
+    lines[2] = lines[2].replace("2021-06-15 11:30", "yesterday")
+    path = tmp_path / "log.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(TimestampParse):
+        _at_block(rows, _csv)(path)
+    path.write_bytes(path.read_bytes() + b"c9,a\xff,2021-06-15 12:30\n")
+    with pytest.raises(RowUnreadable) as err:
+        _at_block(rows, _csv)(path)
+    assert err.value.row == 3 * rows + 1
+    assert_same_outcome(path, _at_block(rows, _csv), _csv)
+
+
+def test_an_unreadable_row_beats_a_missing_column(tmp_path):
+    lines = [",".join(r) for r in [list(_CELLS), *_good_rows(600)]]
+    lines[0] = lines[0].replace("region", "area")
+    path = tmp_path / "log.csv"
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8") + b"c9,a\xff,2021-06-15 12:30\n")
+    with pytest.raises(RowUnreadable) as err:
+        _at_block(200, _csv)(path)
+    assert err.value.row == 602
+
+
+@pytest.mark.parametrize("text", ["2021-01-04Z", "2021-01-04+01:00", "2021-01-04-01:00"])
+def test_a_date_alone_with_a_suffix_reads_as_python_reads_it(text):
+    # Python takes the suffix's sign for the separator and its digits for the time
+    us, aware, bad = _parse_stamps([text])
+    assert bad is None and int(us[0]) == to_us(_parse_datetime(text, None))
+    assert not aware[0]
+
+
+def test_parse_csv_peak_memory_is_a_small_multiple_of_the_file(tmp_path, monkeypatch):
+    path, mapping = tmp_path / "log.csv", tmp_path / "mapping.json"
+    assert main(["generate", "--days", "104", "--cases-per-day", "100", "--drift-day", "52",
+                 "--out-csv", str(path), "--write-mapping", str(mapping)]) == 0
+    monkeypatch.setattr(ingest, "_BLOCK_ROWS", 4096)
+    mapping = CsvMapping.from_json_file(mapping)
+    tracemalloc.start()
+    try:
+        log = parse_csv(path, mapping)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert log.event_count == 52_000
+    assert peak < 3 * path.stat().st_size, peak / path.stat().st_size
+
+
 # -------------------------------------------------------------- stamps
 
 @pytest.mark.parametrize("text", ["", "NaT", "2021-01", " "])
@@ -326,7 +516,12 @@ def _agree_with_parse_timestamp(texts: list[str]) -> None:
 
 @pytest.mark.parametrize("text", ["0000-01-01", "0000-01-01T00:00:00", "2021-02-29",
                                   "2021-01-04T24:00", "2021-13-01 00:00:00", "2021-01-04t08:00",
-                                  "2021-01-04T08:00:00.1234", "2021-01-04_08:00"])
+                                  "2021-01-04T08:00:00.1234", "2021-01-04_08:00",
+                                  "2021-01-04+01:00", "2021-01-04Z", "2021-01-04T08:00+24:00",
+                                  "2021-01-04T08:00-01:60", "2021-01-04T08:00,01:00",
+                                  "2021-01-04T08:00z", "2021-02-29T08:00:00+01:00",
+                                  "2021-01-04T24:00Z", "0001-01-01T00:30+01:00",
+                                  "9999-12-31T23:30:00-01:00", "0000-01-01T00:00Z"])
 def test_stamps_numpy_would_read_differently_go_to_parse_timestamp(text):
     _agree_with_parse_timestamp(["2021-01-04", text, "2021-01-05"])
 
@@ -334,9 +529,32 @@ def test_stamps_numpy_would_read_differently_go_to_parse_timestamp(text):
 @pytest.mark.parametrize("text", ["2021-01-04 08:00:00", "2021-01-04T08:00:00.5",
                                   "20210104T080000", "2021-01-04T08:00:00.123456",
                                   "2021-01-04", "2021-01-04T08:00", "0001-01-01T00:00:00",
-                                  "9999-12-31 23:59:59.999"])
+                                  "9999-12-31 23:59:59.999", "2016-01-04T08:00:00.000+01:00",
+                                  "2021-01-04T08:00Z", "2021-01-04 08:00:00-05:30",
+                                  "2021-01-04T08:00:00.123456+23:59", "2021-01-04T08:00:00-00:00",
+                                  "0001-01-01T01:00-01:00", "9999-12-31T23:59:59.999999Z",
+                                  "0001-01-01T00:30-01:00", "9999-12-31T23:30+01:00"])
 def test_stamp_shapes_parse_as_parse_timestamp_does(text):
     _agree_with_parse_timestamp([text, text])
+
+
+_OFFSETS = st.tuples(st.sampled_from("+-,"), st.integers(0, 25), st.integers(0, 61)).map(
+    lambda o: "%s%02d:%02d" % o)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.tuples(st.datetimes(), st.sampled_from(["minutes", "seconds", "milliseconds",
+                                               "microseconds"]),
+              st.sampled_from(["T", " "]), st.one_of(st.just("Z"), _OFFSETS)).map(
+        lambda p: p[0].isoformat(p[2], p[1]) + p[3]),
+    max_size=6,
+))
+def test_property_offset_stamps_agree_with_parse_timestamp(texts):
+    _agree_with_parse_timestamp(texts)
+    us, aware, bad = _parse_stamps(texts)
+    for i, text in enumerate(texts[:len(texts) if bad is None else bad[0]]):
+        assert aware[i] == (_parse_datetime(text, None).tzinfo is not None), text
 
 
 _STAMP_CHARS = st.sampled_from(list("0123456789") * 3 + list("-:T .Z+,t"))
