@@ -73,6 +73,8 @@ from .model import (
     NUMBER,
     TEXT,
     TIMESTAMP,
+    _US_MAX,
+    _US_MIN,
     Attribute,
     Coder,
     EventLog,
@@ -164,7 +166,6 @@ def _stamp_error(where: str, text: str, exc: Exception, row: int | None) -> Time
 
 #: The widest :func:`_iso_bytes` shape, ``dddd-dd-ddTdd:dd:dd.dddddd+dd:dd``.
 _WIDTH = 32
-_US_RANGE = to_us(datetime.min), to_us(datetime.max)
 
 
 @cache
@@ -220,7 +221,7 @@ def _parse_stamps(texts: list[str], fmt: str | None = None):
             us[fast] = stamps[fast].astype("datetime64[us]").view(np.int64) - shift[fast]
         except ValueError:  # a field out of range: the loop below names it
             fast[:] = False
-        fast &= (_US_RANGE[0] <= us) & (us <= _US_RANGE[1])  # else Python's OverflowError
+        fast &= (_US_MIN <= us) & (us <= _US_MAX)  # else Python's OverflowError
     aware = fast & zoned
     slow, values, offsets, bad = np.flatnonzero(~fast).tolist(), [], [], None
     for i in slow:
@@ -228,7 +229,7 @@ def _parse_stamps(texts: list[str], fmt: str | None = None):
             ts = _parse_datetime(texts[i], fmt)
             values.append(to_us(ts))  # OverflowError for an instant out of range
         except (ValueError, OverflowError) as exc:
-            bad = (i, exc)
+            bad = (i, exc.with_traceback(None))  # no frame cycle to keep the block alive
             break
         offsets.append(ts.tzinfo is not None)
     us[slow[:len(values)]] = values

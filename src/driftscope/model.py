@@ -534,12 +534,12 @@ class Coder:
         return tuple(names), rank[np.concatenate(self._rows)]
 
 
-def coded(values: list, absent=None) -> tuple[tuple, np.ndarray]:
+def coded(values: list) -> tuple[tuple, np.ndarray]:
     """Distinct values in first-appearance order and an int32 code per value;
-    ``absent`` is not a value: its code is -1."""
+    None is not a value: its code is -1."""
     coder = Coder()
     coder.add(values)
-    return coder.result(absent)
+    return coder.result()
 
 
 def _records(dicts: list[dict], level: str, names: list[str]) -> dict[str, tuple[list, list, list]]:

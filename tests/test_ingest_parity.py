@@ -15,6 +15,7 @@ oracle and give what it gives at its own block size: the same columns and
 
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 from dataclasses import fields
 from datetime import datetime
@@ -146,12 +147,56 @@ def csv_texts(draw):
     return "\n".join(out) + draw(st.sampled_from(["\n", "", "\r\n"]))
 
 
+#: Block sizes that put a block boundary between almost every pair of rows.
+SMALL_BLOCKS = [1, 2, 3]
+
+
+def _at_block(rows: int, parse):
+    """``parse`` with the CSV reader taking ``rows`` rows at a time."""
+    def run(path):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_BLOCK_ROWS", rows)
+            return parse(path)
+    return run
+
+
+def _same(x, y) -> bool:
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, np.ndarray):
+        if x.dtype != y.dtype or x.shape != y.shape:
+            return False
+        return x.tolist() == y.tolist() if x.dtype == object else x.tobytes() == y.tobytes()
+    if isinstance(x, dict):
+        return x.keys() == y.keys() and all(all(map(_same, x[k], y[k])) for k in x)
+    return x == y
+
+
+def assert_same_outcome(path, new_parse, old_parse) -> None:
+    """The same exception (class, message and row), or logs whose columns and
+    ``meta`` agree bit for bit."""
+    new, new_err = _outcome(new_parse, path)
+    old, old_err = _outcome(old_parse, path)
+    if old_err is not None or new_err is not None:
+        assert type(new_err) is type(old_err), (new_err, old_err)
+        assert str(new_err) == str(old_err) and _place(new_err) == _place(old_err)
+        return
+    assert new.meta == old.meta
+    for field in fields(LogColumns):
+        assert _same(getattr(new.columns, field.name), getattr(old.columns, field.name)), field
+
+
+def _csv(path):
+    return parse_csv(path, MAPPING)
+
+
 @SETTINGS
-@given(csv_texts())
-def test_property_csv_parity_with_object_parser(tmp_path, text):
+@given(csv_texts(), st.sampled_from([*SMALL_BLOCKS, ingest._BLOCK_ROWS]))
+def test_property_csv_parity_with_object_parser(tmp_path, text, rows):
     path = tmp_path / "log.csv"
     path.write_text(text, encoding="utf-8")
-    assert_same(path, lambda p: parse_csv(p, MAPPING), lambda p: oracle.parse_csv(p, MAPPING))
+    assert_same(path, _at_block(rows, _csv), lambda p: oracle.parse_csv(p, MAPPING))
+    assert_same_outcome(path, _at_block(rows, _csv), _csv)
 
 
 def test_csv_parity_on_a_generated_log(tmp_path):
@@ -302,7 +347,9 @@ def _mutated(draw, text: str) -> bytes:
 def test_fuzzed_csv_fails_only_with_ingestion_errors(tmp_path, data):
     path = tmp_path / "log.csv"
     path.write_bytes(_mutated(data.draw, data.draw(csv_texts())))
-    _fails_cleanly(lambda p: parse_csv(p, MAPPING), path)
+    at_block = _at_block(data.draw(st.sampled_from([*SMALL_BLOCKS, ingest._BLOCK_ROWS])), _csv)
+    _fails_cleanly(at_block, path)
+    assert_same_outcome(path, at_block, _csv)
 
 
 @settings(max_examples=150, deadline=None,
@@ -315,70 +362,6 @@ def test_fuzzed_xes_fails_only_with_ingestion_errors(tmp_path, data):
 
 
 # -------------------------------------------------------------- blocks
-
-#: Block sizes that put a block boundary between almost every pair of rows.
-SMALL_BLOCKS = [1, 2, 3]
-
-
-def _at_block(rows: int, parse):
-    """``parse`` with the CSV reader taking ``rows`` rows at a time."""
-    def run(path):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ingest, "_BLOCK_ROWS", rows)
-            return parse(path)
-    return run
-
-
-def _same(x, y) -> bool:
-    if type(x) is not type(y):
-        return False
-    if isinstance(x, np.ndarray):
-        if x.dtype != y.dtype or x.shape != y.shape:
-            return False
-        return x.tolist() == y.tolist() if x.dtype == object else x.tobytes() == y.tobytes()
-    if isinstance(x, dict):
-        return x.keys() == y.keys() and all(all(map(_same, x[k], y[k])) for k in x)
-    return x == y
-
-
-def assert_same_outcome(path, new_parse, old_parse) -> None:
-    """The same exception (class, message and row), or logs whose columns and
-    ``meta`` agree bit for bit."""
-    new, new_err = _outcome(new_parse, path)
-    old, old_err = _outcome(old_parse, path)
-    if old_err is not None or new_err is not None:
-        assert type(new_err) is type(old_err), (new_err, old_err)
-        assert str(new_err) == str(old_err) and _place(new_err) == _place(old_err)
-        return
-    assert new.meta == old.meta
-    for field in fields(LogColumns):
-        assert _same(getattr(new.columns, field.name), getattr(old.columns, field.name)), field
-
-
-def _csv(path):
-    return parse_csv(path, MAPPING)
-
-
-@pytest.mark.parametrize("rows", SMALL_BLOCKS)
-@SETTINGS
-@given(text=csv_texts())
-def test_property_csv_parity_across_block_boundaries(tmp_path, rows, text):
-    path = tmp_path / "log.csv"
-    path.write_text(text, encoding="utf-8")
-    assert_same(path, _at_block(rows, _csv), lambda p: oracle.parse_csv(p, MAPPING))
-    assert_same_outcome(path, _at_block(rows, _csv), _csv)
-
-
-@pytest.mark.parametrize("rows", SMALL_BLOCKS)
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_fuzzed_csv_agrees_across_block_boundaries(tmp_path, rows, data):
-    path = tmp_path / "log.csv"
-    path.write_bytes(_mutated(data.draw, data.draw(csv_texts())))
-    _fails_cleanly(_at_block(rows, _csv), path)
-    assert_same_outcome(path, _at_block(rows, _csv), _csv)
-
 
 def _good_rows(n: int) -> list[list[str]]:
     """``n`` rows that parse, in the columns of ``_CELLS``."""
@@ -473,19 +456,39 @@ def test_a_date_alone_with_a_suffix_reads_as_python_reads_it(text):
     assert not aware[0]
 
 
-def test_parse_csv_peak_memory_is_a_small_multiple_of_the_file(tmp_path, monkeypatch):
-    path, mapping = tmp_path / "log.csv", tmp_path / "mapping.json"
+@pytest.fixture(scope="module")
+def generated_csv(tmp_path_factory):
+    """A generated log of 52,000 rows and its mapping."""
+    path = tmp_path_factory.mktemp("generated") / "log.csv"
+    mapping = path.with_name("mapping.json")
     assert main(["generate", "--days", "104", "--cases-per-day", "100", "--drift-day", "52",
                  "--out-csv", str(path), "--write-mapping", str(mapping)]) == 0
-    monkeypatch.setattr(ingest, "_BLOCK_ROWS", 4096)
-    mapping = CsvMapping.from_json_file(mapping)
+    return path, CsvMapping.from_json_file(mapping)
+
+
+def _traced_peak(parse, path):
+    """What ``parse(path)`` gives or raises, and the peak of memory it traced."""
     tracemalloc.start()
     try:
-        log = parse_csv(path, mapping)
-        _, peak = tracemalloc.get_traced_memory()
+        return _outcome(parse, path), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_parse_csv_peak_memory_is_a_small_multiple_of_the_file(generated_csv, monkeypatch):
+    path, mapping = generated_csv
+    monkeypatch.setattr(ingest, "_BLOCK_ROWS", 4096)
+    (log, _), peak = _traced_peak(lambda p: parse_csv(p, mapping), path)
     assert log.event_count == 52_000
+    assert peak < 3 * path.stat().st_size, peak / path.stat().st_size
+
+
+def test_a_bad_stamp_in_every_block_keeps_no_block_alive(generated_csv, monkeypatch):
+    path, mapping = generated_csv
+    monkeypatch.setattr(ingest, "_BLOCK_ROWS", 4096)
+    mapping = dataclasses.replace(mapping, timestamp_format="%d/%m/%Y")
+    (_, err), peak = _traced_peak(lambda p: parse_csv(p, mapping), path)
+    assert isinstance(err, TimestampParse) and err.row == 2
     assert peak < 3 * path.stat().st_size, peak / path.stat().st_size
 
 
