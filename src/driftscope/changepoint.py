@@ -4,10 +4,10 @@ A segmentation of the interval axis is scored as the sum, over segments, of
 the within-segment squared deviation from the segment mean (summed across
 all feature rows) plus a penalty ``beta`` per segment. :func:`pelt` finds
 the exact minimiser with pruned dynamic programming, pricing all live
-candidates of a step in one numpy pass over prefix sums and keeping states
-in flat arrays with back-pointers. Without pruning (a series with no change
-point) the work is still O(n * live * m) for ``n`` intervals, ``live``
-candidates and ``m`` feature rows. Change points are 1-based indices of the
+candidates of a step in one numpy pass over prefix sums (three passes over
+the ``m`` feature rows per candidate) and keeping states in flat arrays with
+back-pointers. Without pruning the work is still O(n * live * m) for ``n``
+intervals and ``live`` candidates. Change points are 1-based indices of the
 first interval of each new segment; cost ties go to fewer change points,
 then to lexicographically earlier indices; segments have a minimum length.
 
@@ -114,42 +114,42 @@ def normalize(matrix: TimeSeriesMatrix, mode: str = "max_abs") -> TimeSeriesMatr
 
 
 class SegmentCost:
-    """Squared-deviation cost of column ranges via interval-major prefix sums.
+    """Squared-deviation cost of column ranges via prefix sums over ``[0, j)``.
 
-    Row ``j`` of the ``(n + 1) x m`` prefix arrays sums columns ``[0, j)``.
-    :meth:`price` works ``CHUNK`` starts at a time in workspaces made here.
+    The ``(n + 1) x m`` sums keep each feature row apart; the squares, whose
+    term does not depend on the split, keep one row-summed value per ``j``, as
+    ``sum_r (q_r - s_r**2 / L) = Q[end] - Q[s] - sum_r s_r**2 / L``. :meth:`price`
+    makes three ``m``-wide passes per start, ``WORKSPACE`` floats at a time.
     """
 
-    CHUNK = 128
+    WORKSPACE = 1 << 16
 
     def __init__(self, values: np.ndarray):
         values = np.asarray(values, dtype=float)
         m, n = values.shape
         self._sum = np.zeros((n + 1, m))
-        self._sumsq = np.zeros((n + 1, m))
         np.cumsum(values.T, axis=0, out=self._sum[1:])
-        np.cumsum((values * values).T, axis=0, out=self._sumsq[1:])
-        self.total_ss = self._sumsq[n].sum()
-        self._s = np.empty((self.CHUNK, m))
-        self._q = np.empty((self.CHUNK, m))
-        self._length = np.empty(self.CHUNK)
+        self._sumsq = np.zeros(n + 1)
+        np.cumsum(np.einsum("ij,ij->j", values, values), out=self._sumsq[1:])
+        self.total_ss = self._sumsq[n]
+        self._rows = max(1, self.WORKSPACE // max(m, 1))
+        self._s = np.empty((min(self._rows, n + 1), m))
+        self._span = np.empty(n + 1)
 
     def price(self, starts: np.ndarray, end: int, out: np.ndarray) -> np.ndarray:
-        """Write the cost of columns ``[s, end)`` for each ``s`` in ``starts`` into ``out``."""
-        for lo in range(0, len(starts), self.CHUNK):
-            part = starts[lo:lo + self.CHUNK]
-            rows = len(part)
-            s, q, length = self._s[:rows], self._q[:rows], self._length[:rows]
+        """Write the cost of columns ``[s, end)`` for each ``s`` in ``starts``
+        into ``out``; a start's price does not depend on the other starts."""
+        for lo in range(0, len(starts), self._rows):
+            part = starts[lo:lo + self._rows]
+            s = self._s[:len(part)]
             np.take(self._sum, part, axis=0, out=s, mode="clip")
             np.subtract(self._sum[end], s, out=s)
-            np.take(self._sumsq, part, axis=0, out=q, mode="clip")
-            np.subtract(self._sumsq[end], q, out=q)
-            np.subtract(end, part, out=length)
-            np.multiply(s, s, out=s)
-            np.divide(s, length[:, None], out=s)
-            np.subtract(q, s, out=q)
-            np.sum(q, axis=1, out=out[lo:lo + rows])
-        return out
+            np.einsum("ij,ij->i", s, s, out=out[lo:lo + len(part)])
+        span = self._span[:len(starts)]
+        np.divide(out, np.subtract(end, starts, out=span), out=out)
+        np.take(self._sumsq, starts, out=span, mode="clip")
+        np.subtract(self._sumsq[end], span, out=span)
+        return np.subtract(span, out, out=out)
 
     def cost(self, a: int, b: int) -> float:
         """Cost of columns ``[a, b)`` (0-based, half-open), priced by :meth:`price`."""

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import csv
 import gc
-import io
 import json
 import math
 from collections import deque
@@ -303,21 +302,27 @@ def _read_columns(path, mapping: CsvMapping):
 
 
 def _unreadable(path, delimiter: str) -> RowUnreadable:
-    """The error for the first record that is not UTF-8 or that ``csv`` cannot split."""
-    data = Path(path).read_bytes()
-    try:
-        text, problem = data.decode("utf-8"), None
-    except UnicodeDecodeError as exc:
-        # the last record of the text up to the bad byte is the one holding it
-        text = data[:exc.start].decode("utf-8") + "?"
-        problem = f"byte {data[exc.start]:#04x} is not UTF-8"
-    row = 0
-    try:
-        for row, _ in enumerate(csv.reader(io.StringIO(text, newline=""), delimiter=delimiter),
-                                start=1):
-            pass
-    except csv.Error as exc:
-        row, problem = row + 1, str(exc)
+    """The error for the first record that is not UTF-8 or that ``csv`` cannot split, streamed:
+    a bad byte reads as a lone surrogate, which UTF-8 never decodes to, and the text ends there."""
+    problem, row = None, 0
+
+    def lines(fh):
+        nonlocal problem
+        for line in fh:
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                problem = f"byte {ord(line[exc.start]) - 0xdc00:#04x} is not UTF-8"
+                yield line[:exc.start] + "?"  # the last record is the one holding it
+                return
+            yield line
+
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        try:
+            for row, _ in enumerate(csv.reader(lines(fh), delimiter=delimiter), start=1):
+                pass
+        except csv.Error as exc:
+            row, problem = row + 1, str(exc)
     return RowUnreadable(f"{path}: row {row}: {problem}", row=row)
 
 
@@ -426,6 +431,7 @@ def _formatted(attr: Attribute | None, n: int) -> list[str | None]:
 
 _XES_TYPES = {"string": TEXT, "date": TIMESTAMP, "int": NUMBER, "float": NUMBER,
               "boolean": BOOLEAN}
+_XES_BOOLEANS = {"true": True, "false": False}
 #: The element :func:`write_xes` writes for each attribute type.
 _XES_TAGS = {TEXT: "string", TIMESTAMP: "date", NUMBER: "float", BOOLEAN: "boolean"}
 
@@ -522,19 +528,20 @@ def _xes_values(key: str, tags: list[str], texts: list[str], where):
             failures.append((i, _stamp_error(f"{place}, attribute {key!r}: ", texts[i], bad[1],
                                              row)))
     for i, vtype in enumerate(types if mixed or types[0] in (NUMBER, BOOLEAN) else ()):
-        if vtype == BOOLEAN:
-            values[i] = texts[i].strip().lower() == "true"
-        elif vtype == NUMBER:
-            try:
-                values[i] = float(texts[i])
-            except ValueError:
-                failures.append((i, XmlMalformed(
-                    f"{where(i)[0]}, attribute {key!r} has non-numeric value {texts[i]!r}")))
-                break
-            if not math.isfinite(values[i]):
-                failures.append((i, NonFiniteNumber(f"{where(i)[0]}, attribute", key, texts[i],
-                                                    row=where(i)[1])))
-                break
+        if vtype not in (NUMBER, BOOLEAN):
+            continue
+        try:
+            values[i] = (float(texts[i]) if vtype == NUMBER
+                         else _XES_BOOLEANS[texts[i].strip().lower()])
+        except (ValueError, KeyError):
+            kind = "numeric" if vtype == NUMBER else "boolean"
+            failures.append((i, XmlMalformed(
+                f"{where(i)[0]}, attribute {key!r} has non-{kind} value {texts[i]!r}")))
+            break
+        if not math.isfinite(values[i]):
+            failures.append((i, NonFiniteNumber(f"{where(i)[0]}, attribute", key, texts[i],
+                                                row=where(i)[1])))
+            break
     return types, values, aware, min(failures, default=None, key=lambda f: f[0])
 
 

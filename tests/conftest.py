@@ -181,6 +181,21 @@ def two_pass_segment_cost(values: np.ndarray, a: int, b: int) -> float:
     return total
 
 
+def per_row_segment_cost(values: np.ndarray, starts: np.ndarray, end: int) -> np.ndarray:
+    """Cost of columns [s, end) for each s in ``starts``, as ``sum_r (q_r - s_r**2 / L)``.
+
+    Every feature row keeps its own prefix of squares here, where
+    ``SegmentCost`` sums the squares over the rows first; the two agree only
+    up to rounding.
+    """
+    values = np.asarray(values, dtype=float)
+    sums = np.vstack([np.zeros(len(values)), np.cumsum(values.T, axis=0)])
+    squares = np.vstack([np.zeros(len(values)), np.cumsum((values * values).T, axis=0)])
+    s = sums[end] - sums[starts]
+    q = squares[end] - squares[starts]
+    return (q - s * s / (end - starts)[:, None]).sum(axis=1)
+
+
 def segment_cost(matrix: TimeSeriesMatrix, i: int, j: int) -> float:
     """Squared deviation from the mean over 1-based inclusive columns i..j."""
     n = matrix.n_intervals

@@ -5,12 +5,15 @@ unchanged, with the object-model ``EventLog`` they build, as the oracle for
 the parity properties in ``test_ingest_parity.py``: they build one
 ``Event`` per row through ``csv.reader`` and ``ElementTree`` and validate
 event by event. ``Case`` and ``Event`` are the package's own, so the two
-object views compare field by field.
+object views compare field by field. ``unreadable_row`` is the whole-file
+reading of the first record that is not UTF-8 or that ``csv`` cannot split,
+the oracle for the streamed ``RowUnreadable``.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, replace
@@ -250,6 +253,26 @@ def parse_csv(path: str | Path, mapping: CsvMapping) -> EventLog:
     return sort_and_validate(log)
 
 
+def unreadable_row(path: str | Path, delimiter: str) -> tuple[int, str | None]:
+    """Row and problem of the first record that is not UTF-8 or that ``csv``
+    cannot split, found in the whole file decoded at once."""
+    data = Path(path).read_bytes()
+    try:
+        text, problem = data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        # the last record of the text up to the bad byte is the one holding it
+        text = data[:exc.start].decode("utf-8") + "?"
+        problem = f"byte {data[exc.start]:#04x} is not UTF-8"
+    row = 0
+    try:
+        for row, _ in enumerate(csv.reader(io.StringIO(text, newline=""), delimiter=delimiter),
+                                start=1):
+            pass
+    except csv.Error as exc:
+        row, problem = row + 1, str(exc)
+    return row, problem
+
+
 def parse_xes(path: str | Path) -> EventLog:
     """Read an XES document into a validated event log.
 
@@ -357,7 +380,10 @@ def _parse_attrs(elem: ET.Element, where: str, skip_events: bool) -> dict:
             if not math.isfinite(attrs[key]):
                 raise NonFiniteNumber(f"{where}, attribute", key, value)
         elif tag == "boolean":
-            attrs[key] = value.strip().lower() == "true"
+            flag = value.strip().lower()
+            if flag not in ("true", "false"):
+                raise XmlMalformed(f"{where}, attribute {key!r} has non-boolean value {value!r}")
+            attrs[key] = flag == "true"
         # container and extension elements are outside the supported subset
     return attrs
 

@@ -27,6 +27,7 @@ from driftscope.timeseries import TimeSeriesMatrix
 from conftest import (
     brute_force_optimal,
     exhaustive_best_segmentation,
+    per_row_segment_cost,
     segment_cost,
     two_pass_segment_cost,
 )
@@ -116,6 +117,41 @@ def test_segment_cost_rejects_bad_bounds():
 def test_segment_cost_single_column_is_zero():
     m = _matrix([[3.0, 7.0, 1.0]])
     assert segment_cost(m, 2, 2) == 0.0
+
+
+@pytest.mark.parametrize("m", [1, 7, 64, 200])
+def test_a_price_does_not_depend_on_the_other_starts(m):
+    # pelt and the unpruned oracle price different sets of starts at a step,
+    # so their totals agree bit for bit only if no price depends on its
+    # company; at 64 and 200 rows the starts fill more than one workspace
+    rng = np.random.default_rng(m)
+    n = 2600
+    values = rng.normal(0.0, 1.0, size=(m, n)) + rng.normal(0.0, 50.0, size=(m, 1))
+    cost = SegmentCost(values)
+    for end in (n, 1733):
+        every = cost.price(np.arange(end), end, np.empty(end))
+        some = np.sort(rng.choice(end, size=end // 3, replace=False))
+        assert np.array_equal(cost.price(some, end, np.empty(len(some))), every[some])
+        alone = np.array([cost.cost(s, end) for s in some[::7].tolist()])
+        assert np.array_equal(alone, every[some[::7]])
+
+
+def test_price_matches_the_per_row_formula():
+    # both sides difference prefix sums, so rounding scales with the sum of squares
+    rng = np.random.default_rng(4242)
+    eps = np.finfo(float).eps
+    for offset in (0.0, 1e2, 1e4):
+        for _ in range(10):
+            m, n = int(rng.integers(1, 80)), int(rng.integers(2, 300))
+            values = rng.normal(0.0, rng.uniform(0.1, 10.0, size=(m, 1)), size=(m, n))
+            values += rng.normal(0.0, offset, size=(m, 1))
+            cost = SegmentCost(values)
+            for end in (n, int(rng.integers(1, n + 1))):
+                starts = np.arange(end)
+                np.testing.assert_allclose(
+                    cost.price(starts, end, np.empty(end)),
+                    per_row_segment_cost(values, starts, end),
+                    rtol=1e-12, atol=8 * eps * float(cost.total_ss))
 
 
 # ---------------------------------------------------------------- detection

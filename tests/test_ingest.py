@@ -337,6 +337,24 @@ def test_parse_xes_non_numeric_number_names_its_place(tmp_path, element, bad, me
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("element, bad, message", [
+    ('<boolean key="urgent" value="true"/>', '<boolean key="ok" value="maybe"/>',
+     "event #2, attribute 'ok' has non-boolean value 'maybe'"),
+    ('<string key="channel" value="web"/>', '<boolean key="vip" value="1"/>',
+     "trace 1, attribute 'vip' has non-boolean value '1'"),
+])
+def test_parse_xes_non_boolean_value_names_its_place(tmp_path, element, bad, message):
+    with pytest.raises(XmlMalformed) as err:
+        parse_xes(_write(tmp_path, "log.xes", XES_DOC.replace(element, bad)))
+    assert str(err.value) == message
+
+
+def test_parse_xes_boolean_ignores_case_and_surrounding_space(tmp_path):
+    doc = XES_DOC.replace('value="true"/>', 'value=" FALSE "/>')
+    assert parse_xes(_write(tmp_path, "log.xes", doc)).cases["1"].events[1].attrs == {
+        "urgent": False}
+
+
 @pytest.mark.parametrize("error", [TimestampParse, EmptyValue, RowUnreadable])
 def test_row_errors_share_one_base_and_carry_the_row(error):
     assert issubclass(error, RowError) and issubclass(error, IngestionError)

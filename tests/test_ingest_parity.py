@@ -10,7 +10,9 @@ or event number is compared where the oracle gives one. Fuzzed input must
 fail, if at all, with an ingestion or validation error (exit 3). The CSV
 reader also runs at block sizes of 1, 2 and 3 rows, where it must match the
 oracle and give what it gives at its own block size: the same columns and
-``meta`` bit for bit, or the same exception class, message and row.
+``meta`` bit for bit, or the same exception class, message and row. The
+streamed ``RowUnreadable`` must name the row and problem that the oracle's
+whole-file reading finds, for any bytes.
 """
 
 from __future__ import annotations
@@ -230,10 +232,10 @@ _STANDARD = (
 )
 _TYPED = (
     [("note", "string", "web"), ("note", "string", ""), ("amount", "int", "3"),
-     ("amount", "float", "2.5"), ("flag", "boolean", "true"), ("flag", "boolean", "no"),
+     ("amount", "float", "2.5"), ("flag", "boolean", "true"), ("flag", "boolean", " FALSE "),
      ("due", "date", "2021-06-15"), ("ref", "id", "1")],
     [("amount", "float", "NaN"), ("amount", "int", "x"), ("due", "date", "yesterday"),
-     ("amount", "string", "text")],
+     ("amount", "string", "text"), ("flag", "boolean", "no")],
 )
 _OTHER = [
     '<list key="l"><string key="x" value="1"/></list>',
@@ -448,6 +450,22 @@ def test_an_unreadable_row_beats_a_missing_column(tmp_path):
     assert err.value.row == 602
 
 
+#: Byte runs that make records, break them, or fail to decode: a lone
+#: continuation byte, a cut three-byte sequence, an encoded surrogate.
+_PIECES = [b"a", b"bc", b",", b";", b'"', b" ", b"\n", b"\r", b"\r\n", b"\x00",
+           "\u00e9".encode(), b"\xe2\x82\xac", b"\xff", b"\xe2\x82", b"\xed\xa0\x80"]
+
+
+@SETTINGS
+@given(st.lists(st.sampled_from(_PIECES), max_size=40), st.sampled_from([",", ";"]))
+def test_property_streamed_unreadable_row_matches_whole_file_reading(tmp_path, pieces, delim):
+    path = tmp_path / "log.csv"
+    path.write_bytes(b"".join(pieces))
+    err = ingest._unreadable(path, delim)
+    row, problem = oracle.unreadable_row(path, delim)
+    assert err.row == row and str(err) == f"{path}: row {row}: {problem}"
+
+
 @pytest.mark.parametrize("text", ["2021-01-04Z", "2021-01-04+01:00", "2021-01-04-01:00"])
 def test_a_date_alone_with_a_suffix_reads_as_python_reads_it(text):
     # Python takes the suffix's sign for the separator and its digits for the time
@@ -490,6 +508,20 @@ def test_a_bad_stamp_in_every_block_keeps_no_block_alive(generated_csv, monkeypa
     (_, err), peak = _traced_peak(lambda p: parse_csv(p, mapping), path)
     assert isinstance(err, TimestampParse) and err.row == 2
     assert peak < 3 * path.stat().st_size, peak / path.stat().st_size
+
+
+def test_an_undecodable_last_row_is_named_without_reading_the_whole_file(
+        generated_csv, tmp_path, monkeypatch):
+    path, mapping = generated_csv
+    data = path.read_bytes()
+    last = data.rstrip(b"\n").rfind(b"\n") + 1
+    bad = tmp_path / "log.csv"
+    bad.write_bytes(data[:last] + b"\xff" + data[last + 1:])
+    monkeypatch.setattr(ingest, "_BLOCK_ROWS", 4096)
+    (_, err), peak = _traced_peak(lambda p: parse_csv(p, mapping), bad)
+    assert isinstance(err, RowUnreadable) and err.row == 52_001
+    assert "byte 0xff is not UTF-8" in str(err)
+    assert peak < 3 * bad.stat().st_size, peak / bad.stat().st_size
 
 
 # -------------------------------------------------------------- stamps
