@@ -4,10 +4,10 @@ Both parsers code their case ids, activities, resources and lifecycles
 through :func:`~driftscope.model.coded`, hand the codes and the other
 per-event values to :func:`~driftscope.model.columnar_log`, and build no
 per-event objects. The CSV reader understands RFC-4180 quoting with a
-configurable delimiter. It reads ``_BLOCK_ROWS`` rows at a time and keeps
-only stamps, codes and the attribute texts (interned per column) between
+configurable delimiter. It reads ``_BLOCK_ROWS`` (4,096) rows at a time and
+keeps only stamps, codes and the attribute texts (interned per column) between
 blocks, so a CSV costs its finished columns plus about one block of Python
-strings: 4,096-row blocks peak at about twice the file's size. A
+strings, and peaks at about twice the file's size. A
 :class:`CsvMapping` names the columns holding the mandatory fields (case id,
 activity, timestamp) plus any optional ones, and may carry a ``strftime``
 pattern for non-ISO timestamps. Attribute columns are typed by inference
@@ -28,7 +28,10 @@ The XES reader streams the document through expat and covers the
 trace/event subset of IEEE 1849-2016 with string/date/int/float/boolean
 attributes. The standard keys concept:name, time:timestamp, org:resource and
 lifecycle:transition map onto the model fields; everything else is kept as
-a typed attribute, and the last of two values of one key wins.
+a typed attribute, and the last of two values of one key wins. Per key it
+keeps its elements' serial numbers in an ``array`` and its value texts
+interned, and it types one key at a time, freeing each key's record before
+the next, so a document peaks at about twice its size.
 
 ``log.meta`` counts what ingest drops or reads with a caveat, each key only
 when non-zero: ``ignored_lifecycle_transitions``, ``case_attr_conflicts``
@@ -43,6 +46,7 @@ import csv
 import gc
 import json
 import math
+from array import array
 from collections import deque
 from itertools import compress, islice
 import xml.etree.ElementTree as ET
@@ -203,7 +207,9 @@ def _parse_stamps(texts: list[str], fmt: str | None = None):
         except UnicodeEncodeError:
             stamps = np.array([t.encode("ascii", "replace") for t in texts], dtype=f"S{_WIDTH}")
         raw, shift = stamps.view(np.uint8).reshape(n, _WIDTH), np.zeros(n, np.int64)
-        for length, (low, span, naive) in _iso_bytes().items():
+        shapes, seen = _iso_bytes(), np.flatnonzero(np.bincount(lengths.clip(max=_WIDTH + 1)))
+        for length in shapes.keys() & seen.tolist():  # only the lengths that occur
+            low, span, naive = shapes[length]
             rows = np.flatnonzero(lengths == length)
             codes = raw[rows]
             codes[codes == 32] = 84  # a space separates date and time as a T does
@@ -238,7 +244,7 @@ def _parse_stamps(texts: list[str], fmt: str | None = None):
 
 #: Rows read and coded at a time. Between blocks the reader keeps only the
 #: codes, the stamps and the interned attribute texts.
-_BLOCK_ROWS = 1 << 16
+_BLOCK_ROWS = 1 << 12
 
 
 def _read_columns(path, mapping: CsvMapping):
@@ -440,12 +446,14 @@ def _read_xes(path):
     """Stream the document. Returns the root's name; where each trace and event
     starts, as the serial number of its element; each event's trace; per
     attribute key, the serial numbers, tags and value texts of its trace-level
-    and of its event-level records; and the number of ``<list>`` and
-    ``<container>`` elements of traces and events."""
+    and of its event-level records, the texts interned through the record's
+    own dict; and the number of ``<list>`` and ``<container>`` elements of
+    traces and events. Serial numbers and traces are ``array("q")``s."""
     parser = expat.ParserCreate(namespace_separator="}")
     parser.ordered_attributes = True
     names: dict[str, str] = {}
-    root, trace_at, event_at, event_trace, trace_keys, event_keys = [], [], [], [], {}, {}
+    root, trace_keys, event_keys = [], {}, {}
+    trace_at, event_at, event_trace = array("q"), array("q"), array("q")
     # Depth is elements opened minus elements closed; closing appends to a
     # list from C, which spares a Python call per element.
     closed: list[str] = []
@@ -494,10 +502,10 @@ def _read_xes(path):
                 return
         record = keys.get(key)
         if record is None:
-            record = keys[key] = ([], [], [])
+            record = keys[key] = (array("q"), [], [], {})
         record[0].append(opened)
         record[1].append(tag)
-        record[2].append(value)
+        record[2].append(record[3].setdefault(value, value))
 
     parser.StartElementHandler, parser.EndElementHandler = start, closed.append
     try:
@@ -511,35 +519,34 @@ def _read_xes(path):
 def _xes_values(key: str, tags: list[str], texts: list[str], where):
     """Type and value of each record of one key (stamps in microseconds since
     the epoch), which stamps carried an offset, and the first failure as
-    ``(record, error)``; ``where(i)`` is record ``i``'s place and event number."""
+    ``(record, error)``; ``where(i)`` is record ``i``'s place and event number.
+    The values are ``texts``, typed in place."""
     mixed = len(set(tags)) > 1
     types = [_XES_TYPES[t] for t in tags] if mixed else [_XES_TYPES[tags[0]]] * len(tags)
-    values, aware, failures = list(texts), np.zeros(len(texts), bool), []
-    dates = []
-    if mixed or types[0] == TIMESTAMP:
-        dates = [i for i, t in enumerate(types) if t == TIMESTAMP]
+    values, aware, failures = texts, np.zeros(len(texts), bool), []
+    dates = [i for i, t in enumerate(types) if t == TIMESTAMP] if TIMESTAMP in types else []
     if dates:
         us, aware[dates], bad = _parse_stamps([texts[i] for i in dates])
-        for i, value in zip(dates, us.tolist()):
-            values[i] = value
         if bad is not None:
             i = dates[bad[0]]
             place, row = where(i)
             failures.append((i, _stamp_error(f"{place}, attribute {key!r}: ", texts[i], bad[1],
                                              row)))
+        for i, value in zip(dates, us.tolist()):
+            values[i] = value
     for i, vtype in enumerate(types if mixed or types[0] in (NUMBER, BOOLEAN) else ()):
         if vtype not in (NUMBER, BOOLEAN):
             continue
+        text = texts[i]
         try:
-            values[i] = (float(texts[i]) if vtype == NUMBER
-                         else _XES_BOOLEANS[texts[i].strip().lower()])
+            values[i] = float(text) if vtype == NUMBER else _XES_BOOLEANS[text.strip().lower()]
         except (ValueError, KeyError):
             kind = "numeric" if vtype == NUMBER else "boolean"
             failures.append((i, XmlMalformed(
-                f"{where(i)[0]}, attribute {key!r} has non-{kind} value {texts[i]!r}")))
+                f"{where(i)[0]}, attribute {key!r} has non-{kind} value {text!r}")))
             break
         if not math.isfinite(values[i]):
-            failures.append((i, NonFiniteNumber(f"{where(i)[0]}, attribute", key, texts[i],
+            failures.append((i, NonFiniteNumber(f"{where(i)[0]}, attribute", key, text,
                                                 row=where(i)[1])))
             break
     return types, values, aware, min(failures, default=None, key=lambda f: f[0])
@@ -565,9 +572,10 @@ def parse_xes(path: str | Path) -> EventLog:
     failures: list[tuple] = []
     finals = {}
     for per_event, keys, starts in ((False, trace_keys, trace_at), (True, event_keys, event_at)):
-        starts = np.array(starts, dtype=np.int64)
-        for key, (at, tags, texts) in keys.items():
-            owner = np.searchsorted(starts, at, side="right") - 1
+        starts = np.frombuffer(starts, np.int64)
+        for key in list(keys):  # each key's record is freed before the next is typed
+            at, tags, texts = keys.pop(key)[:3]
+            owner = np.searchsorted(starts, np.frombuffer(at, np.int64), side="right") - 1
 
             def where(i, owner=owner, per_event=per_event):
                 o = int(owner[i]) + 1
@@ -593,7 +601,8 @@ def parse_xes(path: str | Path) -> EventLog:
             failures.append((t, 1, 0, 0, DuplicateTraceId(
                 f"traces {first_of[case_id] + 1} and {t + 1} share the case id {case_id!r}")))
 
-    next_at = event_at[1:] + [math.inf]
+    def after(e: int):
+        return event_at[e + 1] if e + 1 < n else math.inf
 
     def named(e: int) -> str:
         return f"event #{e + 1} (trace {case_ids[event_trace[e]]!r})"
@@ -602,18 +611,18 @@ def parse_xes(path: str | Path) -> EventLog:
     for e, text in enumerate(activity if None in activity or not all(map(str.strip, activity))
                              else ()):
         if text is None or not text.strip():
-            failures.append((event_trace[e], 2, next_at[e], 1, MissingConceptName(
+            failures.append((event_trace[e], 2, after(e), 1, MissingConceptName(
                 f"{named(e)} has {'no' if text is None else 'an empty'} concept:name",
                 event_index=e + 1)))
     owners, types, values, aware = _final(finals, True, KEY_TIMESTAMP)
     has_stamp = np.zeros(n, dtype=bool)
     has_stamp[owners] = True
     for e in np.flatnonzero(~has_stamp).tolist():
-        failures.append((event_trace[e], 2, next_at[e], 2, TimestampParse(
+        failures.append((event_trace[e], 2, after(e), 2, TimestampParse(
             f"{named(e)} has no time:timestamp", row=e + 1)))
     for e, vtype in zip(owners.tolist(), types):
         if vtype != TIMESTAMP:
-            failures.append((event_trace[e], 2, next_at[e], 2, TimestampParse(
+            failures.append((event_trace[e], 2, after(e), 2, TimestampParse(
                 f"event #{e + 1}: time:timestamp is not a date attribute", row=e + 1)))
     if failures:
         raise min(failures, key=lambda f: f[:4])[4]
@@ -641,7 +650,7 @@ def _standard(finals: dict, key: str, n: int) -> list:
     """Per event, the text of a standard key's value (``str`` of a non-string), or None."""
     owners, types, values, _ = _final(finals, True, key)
     if len(owners) == n and types.count(TEXT) == n:  # every event has it, as a string
-        return list(values)
+        return values
     text: list = [None] * n
     for e, vtype, value in zip(owners.tolist(), types, values):
         text[e] = value if vtype == TEXT else str(_python(vtype, value))

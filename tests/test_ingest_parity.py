@@ -37,7 +37,14 @@ from driftscope.errors import (
     TimestampParse,
     ValidationError,
 )
-from driftscope.ingest import CsvMapping, _parse_datetime, _parse_stamps, parse_csv, parse_xes
+from driftscope.ingest import (
+    CsvMapping,
+    _parse_datetime,
+    _parse_stamps,
+    parse_csv,
+    parse_xes,
+    write_xes,
+)
 from driftscope.model import EventLog, LogColumns, sort_and_validate, to_us
 from ingest_oracle import parse_timestamp
 
@@ -523,6 +530,33 @@ def test_an_undecodable_last_row_is_named_without_reading_the_whole_file(
     assert "byte 0xff is not UTF-8" in str(err)
     assert peak < 3 * bad.stat().st_size, peak / bad.stat().st_size
 
+
+
+@pytest.fixture(scope="module")
+def generated_xes(generated_csv):
+    """The generated log of 52,000 events, written by ``write_xes``."""
+    path, mapping = generated_csv
+    out = path.with_name("log.xes")
+    write_xes(parse_csv(path, mapping), out)
+    return out
+
+
+def test_parse_xes_peak_memory_is_a_small_multiple_of_the_file(generated_xes):
+    (log, _), peak = _traced_peak(parse_xes, generated_xes)
+    assert log.event_count == 52_000
+    assert peak < 2.5 * generated_xes.stat().st_size, peak / generated_xes.stat().st_size
+
+
+def test_a_bad_stamp_in_the_last_xes_event_is_named_within_the_same_bound(
+        generated_xes, tmp_path):
+    data = generated_xes.read_bytes()
+    at = data.rfind(b'key="time:timestamp" value="') + len(b'key="time:timestamp" value="')
+    bad = tmp_path / "log.xes"
+    bad.write_bytes(data[:at] + b"x" + data[at + 1:])
+    (_, err), peak = _traced_peak(parse_xes, bad)
+    assert isinstance(err, TimestampParse) and err.row == 52_000
+    assert str(err).startswith("event #52000, attribute 'time:timestamp': cannot parse"), err
+    assert peak < 2.5 * bad.stat().st_size, peak / bad.stat().st_size
 
 # -------------------------------------------------------------- stamps
 
