@@ -7,9 +7,12 @@ the exact minimiser with pruned dynamic programming, pricing all live
 candidates of a step in one numpy pass over prefix sums (three passes over
 the ``m`` feature rows per candidate) and keeping states in flat arrays with
 back-pointers. Without pruning the work is still O(n * live * m) for ``n``
-intervals and ``live`` candidates. Change points are 1-based indices of the
-first interval of each new segment; cost ties go to fewer change points,
-then to lexicographically earlier indices; segments have a minimum length.
+intervals and ``live`` candidates. A row zero in every interval costs 0.0
+in every segment and is skipped, so ``m`` counts only the other rows: for
+``control_flow:df``, the directly-follows pairs observed, not A² for A
+activities. Change points are 1-based indices of the first interval of
+each new segment; cost ties go to fewer change points, then to
+lexicographically earlier indices; segments have a minimum length.
 
 Matrices are usually normalised first so that the penalty is comparable
 across features with different scales: ``max_abs`` divides each row by its
@@ -47,8 +50,8 @@ class PeltConfig:
     beta_name: InitVar[str] = "beta"
 
     def __post_init__(self, beta_name: str):
-        if self.beta < 0:
-            raise ConfigInvalid(f"{beta_name} must be non-negative, got {self.beta}")
+        if not 0 <= self.beta < float("inf"):
+            raise ConfigInvalid(f"{beta_name} must be finite and non-negative, got {self.beta}")
         if self.min_segment_length < 1:
             raise ConfigInvalid(
                 f"minimum segment length must be at least 1, got {self.min_segment_length}"
@@ -95,6 +98,7 @@ def normalize(matrix: TimeSeriesMatrix, mode: str = "max_abs") -> TimeSeriesMatr
 
     ``max_abs`` leaves all-zero rows untouched; ``zscore`` maps
     zero-variance rows to all zeros so they cannot attract change points.
+    Either way such a row is zero throughout, and :class:`SegmentCost` skips it.
     """
     _check_normalization(mode)
     values = np.array(matrix.values, dtype=float, copy=True)
@@ -120,12 +124,15 @@ class SegmentCost:
     term does not depend on the split, keep one row-summed value per ``j``, as
     ``sum_r (q_r - s_r**2 / L) = Q[end] - Q[s] - sum_r s_r**2 / L``. :meth:`price`
     makes three ``m``-wide passes per start, ``WORKSPACE`` floats at a time.
+    All-zero rows are left out; a matrix without one is used uncopied.
     """
 
     WORKSPACE = 1 << 16
 
     def __init__(self, values: np.ndarray):
         values = np.asarray(values, dtype=float)
+        nonzero = values.any(axis=1)
+        values = values if nonzero.all() else values[nonzero]
         m, n = values.shape
         self._sum = np.zeros((n + 1, m))
         np.cumsum(values.T, axis=0, out=self._sum[1:])
@@ -139,15 +146,16 @@ class SegmentCost:
     def price(self, starts: np.ndarray, end: int, out: np.ndarray) -> np.ndarray:
         """Write the cost of columns ``[s, end)`` for each ``s`` in ``starts``
         into ``out``; a start's price does not depend on the other starts."""
+        last = self._sum[end]
         for lo in range(0, len(starts), self._rows):
             part = starts[lo:lo + self._rows]
             s = self._s[:len(part)]
-            np.take(self._sum, part, axis=0, out=s, mode="clip")
-            np.subtract(self._sum[end], s, out=s)
+            self._sum.take(part, axis=0, out=s, mode="clip")
+            np.subtract(last, s, out=s)
             np.einsum("ij,ij->i", s, s, out=out[lo:lo + len(part)])
         span = self._span[:len(starts)]
         np.divide(out, np.subtract(end, starts, out=span), out=out)
-        np.take(self._sumsq, starts, out=span, mode="clip")
+        self._sumsq.take(starts, out=span, mode="clip")
         np.subtract(self._sumsq[end], span, out=span)
         return np.subtract(span, out, out=out)
 
@@ -206,9 +214,9 @@ def pelt(matrix: TimeSeriesMatrix, cfg: PeltConfig) -> ChangePointSet:
     back = np.zeros(n + 1, dtype=np.int64)
     candidates = np.zeros(n + 1, dtype=np.int64)
     drop_at = np.full(n + 1, never, dtype=np.int64)
-    base = np.empty(n + 1)
-    total = np.empty(n + 1)
-    flags = np.empty(n + 1, dtype=bool)
+    base_buf = np.empty(n + 1)
+    total_buf = np.empty(n + 1)
+    flag_buf = np.empty(n + 1, dtype=bool)
     size = 1
     next_drop = never
     evaluations = 0
@@ -221,27 +229,28 @@ def pelt(matrix: TimeSeriesMatrix, cfg: PeltConfig) -> ChangePointSet:
             drop_at[:kept] = drop_at[:size][keep]
             size = kept
             next_drop = int(drop_at[:size].min())
-        live = int(np.searchsorted(candidates[:size], t - msl, side="right"))
-        starts = candidates[:live]
-        cost.price(starts, t, base[:live])
-        np.take(objective, starts, out=total[:live], mode="clip")
-        np.add(total[:live], base[:live], out=base[:live])
-        np.add(base[:live], beta, out=total[:live])
+        live = int(candidates[:size].searchsorted(t - msl, side="right"))
+        starts, base, total = candidates[:live], base_buf[:live], total_buf[:live]
+        flags = flag_buf[:live]
+        cost.price(starts, t, base)
+        objective.take(starts, out=total, mode="clip")
+        np.add(total, base, out=base)
+        np.add(base, beta, out=total)
         evaluations += live
 
-        pick = int(np.argmin(total[:live]))
+        pick = int(total.argmin())
         best = total[pick]
         chosen = int(starts[pick])
-        np.equal(total[:live], best, out=flags[:live])
-        if np.count_nonzero(flags[:live]) > 1:
-            chosen = min(starts[flags[:live]].tolist(),  # fewer points, earlier boundaries
+        np.equal(total, best, out=flags)
+        if flags.sum() > 1:
+            chosen = min(starts[flags].tolist(),  # fewer points, earlier boundaries
                          key=lambda s: (len(bounds := _boundaries(back, s)), bounds))
         objective[t] = best
         back[t] = chosen
 
-        np.greater(base[:live], best + margin, out=flags[:live])
-        if flags[:live].any():
-            np.minimum(drop_at[:live], t + msl, out=drop_at[:live], where=flags[:live])
+        np.greater(base, best + margin, out=flags)
+        if flags.any():
+            np.minimum(drop_at[:live], t + msl, out=drop_at[:live], where=flags)
             next_drop = min(next_drop, t + msl)
         candidates[size] = t
         drop_at[size] = never

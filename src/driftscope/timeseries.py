@@ -133,10 +133,11 @@ class IntervalSequence:
 
 
 def duration_to_us(duration_seconds: float) -> int:
-    """An interval duration in whole microseconds; raise unless it is positive."""
-    dur_us = round(duration_seconds * US_PER_SECOND)
+    """An interval duration in whole microseconds; raise unless it is finite and positive."""
+    dur_us = round(duration_seconds * US_PER_SECOND) if np.isfinite(duration_seconds) else 0
     if dur_us <= 0:
-        raise ConfigInvalid(f"interval duration must be positive, got {duration_seconds}")
+        raise ConfigInvalid(
+            f"interval duration must be finite and positive, got {duration_seconds}")
     return dur_us
 
 

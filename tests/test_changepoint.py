@@ -59,6 +59,9 @@ def _random_matrix(rng, m=None, n=None, shifts=None) -> TimeSeriesMatrix:
 def test_config_validation():
     with pytest.raises(ConfigInvalid):
         PeltConfig(beta=-0.5)
+    for non_finite in (float("nan"), float("inf")):
+        with pytest.raises(ConfigInvalid):
+            PeltConfig(beta=non_finite)
     with pytest.raises(ConfigInvalid):
         PeltConfig(beta=1.0, min_segment_length=0)
     with pytest.raises(ConfigInvalid):
@@ -346,18 +349,26 @@ def test_row_order_does_not_move_change_points():
     assert a.indices == b.indices == (13,)
 
 
+_ROWS = st.lists(
+    st.lists(st.floats(-100, 100, allow_nan=False), min_size=6, max_size=18),
+    min_size=1,
+    max_size=3,
+).filter(lambda rows: len({len(r) for r in rows}) == 1)
+# where all-zero rows go: index i puts one before the i-th row (clipped to the end)
+_ZERO_ROWS = st.lists(st.integers(0, 3), max_size=3)
+
+
+def _with_zero_rows(rows, positions) -> TimeSeriesMatrix:
+    rows = [list(r) for r in rows]
+    for at in positions:
+        rows.insert(min(at, len(rows)), [0.0] * len(rows[0]))
+    return _matrix(rows)
+
+
 @settings(max_examples=100, deadline=None)
-@given(
-    st.lists(
-        st.lists(st.floats(-100, 100, allow_nan=False), min_size=6, max_size=18),
-        min_size=1,
-        max_size=3,
-    ).filter(lambda rows: len({len(r) for r in rows}) == 1),
-    st.floats(0, 10, allow_nan=False),
-    st.integers(1, 3),
-)
-def test_property_pruned_equals_unpruned(rows, beta, msl):
-    m = _matrix(rows)
+@given(_ROWS, _ZERO_ROWS, st.floats(0, 10, allow_nan=False), st.integers(1, 3))
+def test_property_pruned_equals_unpruned(rows, zero_rows, beta, msl):
+    m = _with_zero_rows(rows, zero_rows)
     if m.n_intervals < 2 * msl:
         return
     fast = pelt(m, _cfg(beta, msl=msl))
@@ -376,3 +387,39 @@ def test_pruning_keeps_an_equal_cost_candidate_rounding_would_drop():
     slow = brute_force_optimal(m, 0.0, min_segment_length=1)
     assert fast.indices == slow.indices == (3,)
     assert fast.total_cost == slow.total_cost == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _ROWS,
+    st.lists(st.integers(0, 3), min_size=1, max_size=3),
+    st.floats(0, 10, allow_nan=False),
+    st.integers(1, 3),
+    st.sampled_from(NORMALIZATIONS),
+)
+def test_property_all_zero_rows_change_nothing(rows, zero_rows, beta, msl, norm):
+    # an all-zero row costs 0.0 in every segment and stays all zero under
+    # every normalization, so the search never sees it
+    if len(rows[0]) < 2 * msl:
+        return
+    plain = pelt(_matrix(rows), _cfg(beta, msl=msl, norm=norm))
+    padded = pelt(_with_zero_rows(rows, zero_rows), _cfg(beta, msl=msl, norm=norm))
+    assert padded.indices == plain.indices
+    assert padded.evaluations == plain.evaluations
+    assert padded.total_cost == plain.total_cost
+
+
+@pytest.mark.parametrize("msl", [1, 2])
+@pytest.mark.parametrize("beta", [0.0, 1.5])
+def test_all_zero_matrix_has_nothing_to_price(beta, msl):
+    # e.g. control_flow:df at an interval shorter than any succession
+    values = np.zeros((4, 12))
+    cost = SegmentCost(values)
+    assert [cost.cost(a, b) for a in range(12) for b in range(a + 1, 13)] == [0.0] * 78
+    assert cost.price(np.arange(12), 12, np.empty(12)).tolist() == [0.0] * 12
+    for norm in NORMALIZATIONS:
+        fast = pelt(_matrix(values), _cfg(beta, msl=msl, norm=norm))
+        slow = brute_force_optimal(_matrix(values), beta, min_segment_length=msl)
+        assert fast.indices == slow.indices == ()
+        assert fast.total_cost == slow.total_cost == beta
+        assert fast.evaluations <= slow.evaluations

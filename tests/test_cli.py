@@ -188,6 +188,22 @@ def test_too_few_intervals_is_analysis_error(tmp_path, capsys):
     assert "analysis failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("beta", ["nan", "inf", "-1"])
+def test_penalty_that_is_not_finite_and_non_negative_is_usage_error(tmp_path, capsys, beta):
+    log_path, mapping_path = _generate_small(tmp_path)
+    common = ["--log", str(log_path), "--mapping", str(mapping_path), "--interval", "1d"]
+    analyze = main(["analyze", *common, "--primary", "control_flow:df",
+                    "--secondary", "data:agg(age)", "--beta-primary", beta,
+                    "--out", str(tmp_path / "r.json")])
+    assert analyze == 2
+    assert "beta_primary must be finite and non-negative" in capsys.readouterr().err
+    detect = main(["detect", *common, "--spec", "control_flow:df", "--beta", beta,
+                   "--out", str(tmp_path / "cps.json")])
+    assert detect == 2
+    assert "beta must be finite and non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "cps.json").exists()
+
+
 def test_detect_requires_two_intervals(tmp_path):
     log_path = tmp_path / "claims.csv"
     log_path.write_text(CLAIMS_CSV, encoding="utf-8")

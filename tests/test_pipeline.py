@@ -66,6 +66,10 @@ def test_config_role_must_be_single_perspective():
         {"p_threshold": 1.0},
         {"p_threshold": -0.2},
         {"min_segment_length": 0},
+        {"interval_seconds": float("nan")},
+        {"interval_seconds": float("inf")},
+        {"beta_primary": float("nan")},
+        {"beta_secondary": float("inf")},
     ],
 )
 def test_config_numeric_validation(kwargs):

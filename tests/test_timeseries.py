@@ -26,6 +26,7 @@ from driftscope.timeseries import (
     TimeInterval,
     build_intervals,
     build_time_series,
+    duration_to_us,
     parse_spec,
     render_spec,
     write_series_csv,
@@ -81,6 +82,11 @@ def test_build_intervals_rejects_bad_duration():
         build_intervals(log, 0)
     with pytest.raises(ConfigInvalid):
         build_intervals(log, -5)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigInvalid):
+            duration_to_us(bad)
+        with pytest.raises(ConfigInvalid):
+            build_intervals(log, bad)
 
 
 def test_interval_membership_is_half_open():
