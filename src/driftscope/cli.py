@@ -67,29 +67,21 @@ def parse_duration(text: str) -> float:
             f"cannot parse interval {text!r}; expected <integer><unit> with unit "
             "s, m, h, d or w"
         )
-    return float(int(m.group(1)) * _DURATION_UNITS[m.group(2)])
+    try:
+        return float(int(m.group(1)) * _DURATION_UNITS[m.group(2)])
+    except OverflowError:
+        raise ConfigInvalid(f"interval {text!r} is too long") from None
 
 
 def _setup_logging() -> None:
     level_name = os.environ.get("DRIFTSCOPE_LOG_LEVEL", "warn").lower()
-    levels = {
-        "error": logging.ERROR,
-        "warn": logging.WARNING,
-        "info": logging.INFO,
-        "debug": logging.DEBUG,
-    }
-    level = levels.get(level_name)
-    if level is None:
-        print(
-            f"driftscope: unknown DRIFTSCOPE_LOG_LEVEL {level_name!r}; using warn",
-            file=sys.stderr,
-        )
-        level = logging.WARNING
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=level,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    if level_name not in ("error", "warn", "info", "debug"):
+        print(f"driftscope: unknown DRIFTSCOPE_LOG_LEVEL {level_name!r}; using warn",
+              file=sys.stderr)
+        level_name = "warn"
+    # logging knows WARN as another name of WARNING
+    logging.basicConfig(stream=sys.stderr, level=level_name.upper(),
+                        format="%(levelname)s %(name)s: %(message)s")
 
 
 def _load_log(args: argparse.Namespace) -> EventLog:

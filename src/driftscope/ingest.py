@@ -5,14 +5,16 @@ through :func:`~driftscope.model.coded`, hand the codes and the other
 per-event values to :func:`~driftscope.model.columnar_log`, and build no
 per-event objects. The CSV reader understands RFC-4180 quoting with a
 configurable delimiter. It reads ``_BLOCK_ROWS`` (4,096) rows at a time and
-keeps only stamps, codes and the attribute texts (interned per column) between
-blocks, so a CSV costs its finished columns plus about one block of Python
+codes every column it keeps, attribute columns too, through a
+:class:`~driftscope.model.Coder`, so between blocks it holds only stamps and
+codes. A CSV costs its finished columns plus about one block of Python
 strings, and peaks at about twice the file's size. A
 :class:`CsvMapping` names the columns holding the mandatory fields (case id,
 activity, timestamp) plus any optional ones, and may carry a ``strftime``
 pattern for non-ISO timestamps. Attribute columns are typed by inference
-over the whole file: a column where every non-empty value parses as a
-boolean/number/timestamp gets that type, otherwise it stays text.
+over the whole file, each distinct text once: a column where every non-empty
+value parses as a boolean/number/timestamp gets that type, otherwise it stays
+text.
 
 ISO-8601 stamps of the shapes in ``_iso_bytes``, naive or ending in ``Z`` or
 ``±hh:mm``, are parsed in one numpy call; every other stamp goes one by one
@@ -48,7 +50,7 @@ import json
 import math
 from array import array
 from collections import deque
-from itertools import compress, islice
+from itertools import islice
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, fields
 from datetime import datetime
@@ -110,6 +112,15 @@ class CsvMapping:
     delimiter: str = ","
 
     def __post_init__(self):
+        for f in fields(self):
+            value, many = getattr(self, f.name), f.name.endswith("_attr_cols")
+            if many:  # a bare string would read as its letters
+                ok = isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
+            else:
+                ok = isinstance(value, str) or (value is None and f.default is None)
+            if not ok:
+                kind = "a list of strings" if many else "a string"
+                raise ConfigInvalid(f"mapping key {f.name!r} must be {kind}, got {value!r}")
         self.event_attr_cols = tuple(self.event_attr_cols)
         self.case_attr_cols = tuple(self.case_attr_cols)
         mandatory = (self.case_id_col, self.activity_col, self.timestamp_col)
@@ -243,20 +254,19 @@ def _parse_stamps(texts: list[str], fmt: str | None = None):
 
 
 #: Rows read and coded at a time. Between blocks the reader keeps only the
-#: codes, the stamps and the interned attribute texts.
+#: stamps and the codes.
 _BLOCK_ROWS = 1 << 12
 
 
 def _read_columns(path, mapping: CsvMapping):
     """Read the file a block of rows at a time, header excluded. Returns a
-    :class:`~driftscope.model.Coder` of each mapped case id, activity,
-    resource and lifecycle column, by name; the stamps in microseconds and
-    which of them carried an offset; the first bad stamp as ``(row index,
-    text, error)``; and each attribute column's stripped cells, interned per
-    column."""
-    coders = {col: Coder() for col in (mapping.case_id_col, mapping.activity_col,
-                                       mapping.resource_col, mapping.lifecycle_col) if col}
-    attrs = {col: ({}, []) for col in (*mapping.event_attr_cols, *mapping.case_attr_cols)}
+    :class:`~driftscope.model.Coder` of the stripped cells of each mapped
+    column, by name: case id, activity, resource, lifecycle and every
+    attribute column, the timestamp column only when it is also an attribute;
+    the stamps in microseconds and which of them carried an offset; and the
+    first bad stamp as ``(row index, text, error)``."""
+    cols = mapping.columns()  # the third is the timestamp's, coded only as an attribute
+    coders = {col: Coder() for col in cols[:2] + cols[3:]}
     stamps, aware, first_bad, n = [], [], None, 0
     collecting = gc.isenabled()
     gc.disable()  # many fresh row lists the collector need not walk
@@ -270,32 +280,28 @@ def _read_columns(path, mapping: CsvMapping):
                 colidx: dict[str, int] = {}
                 for i, name in enumerate(header):
                     colidx.setdefault(name.strip(), i)
-                missing = [col for col in mapping.columns() if col not in colidx]
+                missing = [col for col in cols if col not in colidx]
                 if missing:
                     deque(reader, maxlen=0)  # an unreadable row anywhere is named first
                     raise MissingColumn(
                         f"{path}: column {missing[0]!r} not found in header {header}")
-                width = max(colidx[col] for col in mapping.columns()) + 1
+                width = max(colidx[col] for col in cols) + 1
                 for rows in iter(lambda: list(islice(reader, _BLOCK_ROWS)), []):
                     if min(map(len, rows)) < width:
                         rows = [r + [""] * (width - len(r)) for r in rows]
                     transposed = list(zip(*rows))
                     del rows
-                    cells = {col: list(map(str.strip, transposed[colidx[col]]))
-                             for col in mapping.columns()}
-                    del transposed
                     for col, coder in coders.items():
-                        coder.add(cells[col])
-                    texts = cells[mapping.timestamp_col]
+                        coder.add(list(map(str.strip, transposed[colidx[col]])))
+                    texts = list(map(str.strip, transposed[colidx[mapping.timestamp_col]]))
+                    del transposed
                     us, offset, bad = _parse_stamps(texts, mapping.timestamp_format)
                     if bad is not None and first_bad is None:
                         first_bad = n + bad[0], texts[bad[0]], bad[1]
                     stamps.append(us)
                     aware.append(offset)
-                    for col, (pool, kept) in attrs.items():
-                        kept += map(pool.setdefault, cells[col], cells[col])
                     n += len(us)
-                    del cells, texts  # free this block's strings before the next is read
+                    del texts  # free this block's strings before the next is read
             except (UnicodeDecodeError, csv.Error):
                 raise _unreadable(path, mapping.delimiter) from None
     finally:
@@ -303,8 +309,7 @@ def _read_columns(path, mapping: CsvMapping):
             gc.enable()
     if not n:
         raise EmptyLog(f"{path}: no data rows")
-    return (coders, np.concatenate(stamps), np.concatenate(aware), first_bad,
-            {col: kept for col, (_, kept) in attrs.items()})
+    return coders, np.concatenate(stamps), np.concatenate(aware), first_bad
 
 
 def _unreadable(path, delimiter: str) -> RowUnreadable:
@@ -332,26 +337,27 @@ def _unreadable(path, delimiter: str) -> RowUnreadable:
     return RowUnreadable(f"{path}: row {row}: {problem}", row=row)
 
 
-def _csv_values(texts: list[str], col: str):
+def _csv_values(coder: Coder, col: str):
     """The column's type, the rows with a value, their values, and the first
-    failure as ``(row index, error)``."""
-    rows = np.flatnonzero(np.fromiter(map(bool, texts), bool, len(texts)))
-    values = list(compress(texts, texts))
-    if all(v.lower() in ("true", "false") for v in values):
-        return BOOLEAN, rows, np.array([v.lower() == "true" for v in values], bool), None
+    failure as ``(row index, error)``. Each distinct text is typed once."""
+    texts, code = coder.result("")
+    rows = np.flatnonzero(code >= 0)
+    code = code[rows]
+    if all(t.lower() in ("true", "false") for t in texts):
+        return BOOLEAN, rows, np.array([t.lower() == "true" for t in texts], bool)[code], None
     try:
-        numbers = np.array([float(v) for v in values])
+        numbers = np.array([float(t) for t in texts])
     except ValueError:
-        us, _, bad = _parse_stamps(values)
+        us, _, bad = _parse_stamps(texts)
         if bad is None:
-            return TIMESTAMP, rows, us, None
-        return TEXT, rows, np.array(values, dtype=object), None
-    bad = rows[~np.isfinite(numbers)]
-    if len(bad):
-        i = int(bad[0])
-        return NUMBER, rows, numbers, (i, NonFiniteNumber(f"row {i + 2}, column", col, texts[i],
-                                                          row=i + 2))
-    return NUMBER, rows, numbers, None
+            return TIMESTAMP, rows, us[code], None
+        return TEXT, rows, np.array(texts, dtype=object)[code], None
+    bad = [(coder.first[t], t) for t, x in zip(texts, numbers.tolist()) if not math.isfinite(x)]
+    if bad:
+        i, text = min(bad)
+        return NUMBER, rows, numbers[code], (i, NonFiniteNumber(f"row {i + 2}, column", col, text,
+                                                                row=i + 2))
+    return NUMBER, rows, numbers[code], None
 
 
 def parse_csv(path: str | Path, mapping: CsvMapping) -> EventLog:
@@ -365,7 +371,7 @@ def parse_csv(path: str | Path, mapping: CsvMapping) -> EventLog:
     checked, and each later value that differs is counted in
     ``log.meta["case_attr_conflicts"]``.
     """
-    coders, time_us, aware, bad_stamp, attr_texts = _read_columns(path, mapping)
+    coders, time_us, aware, bad_stamp = _read_columns(path, mapping)
     # (row index, check, error): a row-by-row reading meets the least first
     failures = []
     empty = [(coders[col].first[""], col) for col in (mapping.case_id_col, mapping.activity_col)
@@ -378,7 +384,7 @@ def parse_csv(path: str | Path, mapping: CsvMapping) -> EventLog:
         failures.append((i, 1, _stamp_error(f"row {i + 2}: ", text, exc, i + 2)))
     attr_cols = [(col, True) for col in mapping.event_attr_cols]
     attr_cols += [(col, False) for col in mapping.case_attr_cols]
-    typed = [_csv_values(attr_texts[col], col) for col, _ in attr_cols]
+    typed = [_csv_values(coders[col], col) for col, _ in attr_cols]
     failures += [(f[0], check, f[1]) for check, (*_, f) in enumerate(typed, start=2) if f]
     if failures:
         raise min(failures, key=lambda f: f[:2])[2]
@@ -511,7 +517,7 @@ def _read_xes(path):
     try:
         with open(path, "rb") as fh:
             parser.ParseFile(fh)
-    except expat.ExpatError as exc:
+    except (expat.ExpatError, LookupError) as exc:  # LookupError: an unknown declared encoding
         raise XmlMalformed(f"{path}: {exc}") from exc
     return root[0], trace_at, event_at, event_trace, trace_keys, event_keys, skipped
 

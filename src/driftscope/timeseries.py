@@ -134,7 +134,8 @@ class IntervalSequence:
 
 def duration_to_us(duration_seconds: float) -> int:
     """An interval duration in whole microseconds; raise unless it is finite and positive."""
-    dur_us = round(duration_seconds * US_PER_SECOND) if np.isfinite(duration_seconds) else 0
+    dur_us = duration_seconds * US_PER_SECOND
+    dur_us = round(dur_us) if np.isfinite(dur_us) else 0  # finite seconds may overflow in us
     if dur_us <= 0:
         raise ConfigInvalid(
             f"interval duration must be finite and positive, got {duration_seconds}")

@@ -3,8 +3,11 @@
 import csv
 import hashlib
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,8 @@ from driftscope.errors import ConfigInvalid
 from driftscope.ingest import CsvMapping
 
 from conftest import CLAIMS_CSV
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _write_mapping(tmp_path, mapping: CsvMapping):
@@ -50,7 +55,8 @@ def test_parse_duration_units():
     assert parse_duration(" 7d ") == 7 * 86400.0
 
 
-@pytest.mark.parametrize("bad", ["", "d", "90x", "1.5h", "-3d", "3 d", "h3"])
+@pytest.mark.parametrize("bad", ["", "d", "90x", "1.5h", "-3d", "3 d", "h3",
+                                 pytest.param("1" + "0" * 400 + "s", id="1e400s")])
 def test_parse_duration_rejects(bad):
     with pytest.raises(ConfigInvalid):
         parse_duration(bad)
@@ -188,6 +194,53 @@ def test_too_few_intervals_is_analysis_error(tmp_path, capsys):
     assert "analysis failed" in capsys.readouterr().err
 
 
+ONE_ACTIVITY_CSV = (
+    "case,activity,timestamp,x\n"
+    "c1,a,2021-01-04T08:00:00,1e308\n"
+    "c1,a,2021-01-04T09:00:00,1e308\n"
+    "c2,a,2021-01-05T08:00:00,1\n"
+    "c2,a,2021-01-06T09:00:00,2\n"
+)
+ONE_ACTIVITY_MAPPING = CsvMapping(case_id_col="case", activity_col="activity",
+                                  timestamp_col="timestamp", event_attr_cols=("x",))
+
+
+def _detect(tmp_path, *args, mapping=None):
+    log_path = tmp_path / "log.csv"
+    log_path.write_text(ONE_ACTIVITY_CSV, encoding="utf-8")
+    if mapping is None:
+        mapping = _write_mapping(tmp_path, ONE_ACTIVITY_MAPPING)
+    return main(["detect", "--log", str(log_path), "--mapping", str(mapping),
+                 "--out", str(tmp_path / "cps.json"), *args])
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("control_flow:alpha", "no feature rows"),  # one activity has no relations
+    ("data:agg(x,sum)", "non-finite"),  # 1e308 + 1e308 is inf
+])
+def test_spec_without_finite_features_is_analysis_error(tmp_path, capsys, spec, message):
+    assert _detect(tmp_path, "--interval", "1d", "--spec", spec) == 4
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("zeros", [400, 303])
+def test_interval_too_long_is_usage_error(tmp_path, capsys, zeros):
+    # 1e400 s is no float; 1e303 s is one, but not in microseconds
+    assert _detect(tmp_path, "--interval", f"1{'0' * zeros}s", "--spec", "control_flow:df") == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ["[1]", None, '{"case_id_col": 5, "activity_col": "activity",'
+                                                 ' "timestamp_col": "timestamp"}'])
+def test_unusable_mapping_file_is_usage_error(tmp_path, capsys, content):
+    mapping = tmp_path / "bad.json"
+    if content is not None:  # else the file does not exist
+        mapping.write_text(content, encoding="utf-8")
+    rc = _detect(tmp_path, "--interval", "1d", "--spec", "control_flow:df", mapping=mapping)
+    assert rc == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("beta", ["nan", "inf", "-1"])
 def test_penalty_that_is_not_finite_and_non_negative_is_usage_error(tmp_path, capsys, beta):
     log_path, mapping_path = _generate_small(tmp_path)
@@ -322,6 +375,22 @@ def test_unknown_log_level_warns_but_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("DRIFTSCOPE_LOG_LEVEL", "chatty")
     assert main(["--version"]) == 0
     assert "DRIFTSCOPE_LOG_LEVEL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("level,expected", [
+    ("info", "INFO driftscope: wrote {out}\n"),
+    ("warn", ""),
+    ("LOUD", "driftscope: unknown DRIFTSCOPE_LOG_LEVEL 'loud'; using warn\n"),
+])
+def test_log_level_sets_what_reaches_stderr(tmp_path, level, expected):
+    # in a fresh interpreter: under pytest, logging is set up before main runs
+    out = tmp_path / "log.csv"
+    env = {**os.environ, "DRIFTSCOPE_LOG_LEVEL": level,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "driftscope.cli", "generate", "--days", "4",
+                           "--drift-day", "2", "--out-csv", str(out)],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, expected.format(out=out))
 
 
 def test_console_script_is_installed():

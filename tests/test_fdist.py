@@ -112,3 +112,25 @@ def test_property_sf_monotone_in_f(d1, d2):
     grid = [0.01, 0.1, 1.0, 3.0, 10.0, 100.0]
     tails = [f_sf(f, d1, d2) for f in grid]
     assert all(a >= b for a, b in zip(tails, tails[1:]))
+
+
+#: ``f_sf`` on a grid over both branches of ``betainc_reg``, as ``float.hex``;
+#: p-values are compared against a threshold, so any change of bits may move a report.
+F_SF_BITS = {
+    (0.7, 1, 1): "0x1.1ce96145fc58cp-1",
+    (0.7, 5, 5): "0x1.4b815f598dfe9p-1",
+    (0.7, 24, 110): "0x1.af2d04afc460cp-1",
+    (0.7, 152, 300): "0x1.fc742e86b7439p-1",
+    (3.2, 1, 1): "0x1.4c4c718085f0ep-2",
+    (3.2, 5, 5): "0x1.d20495f1732cbp-4",
+    (3.2, 24, 110): "0x1.3a7f5d10f7f2dp-16",
+    (3.2, 152, 300): "0x1.602f89de60dfbp-58",
+    (40.0, 1, 1): "0x1.98e9674ab29efp-4",
+    (40.0, 5, 5): "0x1.01bacddfe634ap-11",
+    (40.0, 24, 110): "0x1.b33133ea19233p-143",
+    (40.0, 152, 300): "0x1.a3ab743a25e43p-465",
+}
+
+
+def test_f_sf_bits_are_pinned():
+    assert {args: f_sf(*args).hex() for args in F_SF_BITS} == F_SF_BITS

@@ -254,6 +254,60 @@ def test_mapping_json_roundtrip(tmp_path):
         CsvMapping.from_dict({"case_id_col": "a", "bogus": 1})
 
 
+@pytest.mark.parametrize("key,value", [
+    ("timestamp_format", 5), ("resource_col", ["act"]), ("case_id_col", 5),
+    ("lifecycle_col", 1.5), ("delimiter", None), ("event_attr_cols", "age"),
+    ("case_attr_cols", ["region", 3]), ("event_attr_cols", None),
+])
+def test_mapping_rejects_values_of_the_wrong_type_naming_the_key(key, value):
+    data = {"case_id_col": "case", "activity_col": "activity", "timestamp_col": "timestamp",
+            key: value}
+    with pytest.raises(ConfigInvalid, match=repr(key)):
+        CsvMapping.from_dict(data)
+
+
+OVERLAP_CSV = (
+    "case,act,ts,x\n"
+    "c1,a,2021-01-04T08:00:00,1\n"
+    "c1,b,2021-01-04T09:00:00,2\n"
+    "c2,a,2021-01-04T10:00:00,2\n"
+    "c2,c,2021-01-04T11:00:00,3\n"
+)
+
+
+def test_parse_csv_reads_a_column_mapped_twice_as_each_of_its_fields(tmp_path):
+    # the stamp and the resource are also event attributes; the activity and
+    # the case id are also case attributes
+    mapping = CsvMapping(case_id_col="case", activity_col="act", timestamp_col="ts",
+                         resource_col="x", event_attr_cols=("ts", "x"),
+                         case_attr_cols=("act", "case"))
+    log = parse_csv(_write(tmp_path, "log.csv", OVERLAP_CSV), mapping)
+    assert log.event_attr_types == {"ts": "timestamp", "x": "number"}
+    assert log.case_attr_types == {"act": "text", "case": "text"}
+    events = [e for case in log.cases.values() for e in case.events]
+    assert [e.resource for e in events] == ["1", "2", "2", "3"]
+    assert [e.attrs for e in events] == [
+        {"ts": datetime(2021, 1, 4, h), "x": x} for h, x in ((8, 1.0), (9, 2.0), (10, 2.0),
+                                                             (11, 3.0))]
+    assert {k: c.attrs for k, c in log.cases.items()} == {
+        "c1": {"act": "a", "case": "c1"}, "c2": {"act": "a", "case": "c2"}}
+    assert log.meta == {"case_attr_conflicts": 2}
+
+
+def test_parse_csv_non_ascii_texts_stay_text_and_bad_stamps_name_their_row(tmp_path):
+    text = "case,act,ts,city\nc1,a,2021-01-04T08:00:00,café\nc1,b,2021-01-04T09:00:00,Zürich\n"
+    mapping = CsvMapping(case_id_col="case", activity_col="act", timestamp_col="ts",
+                         event_attr_cols=("city",))
+    log = parse_csv(_write(tmp_path, "log.csv", text), mapping)
+    assert log.event_attr_types == {"city": "text"}
+    assert [e.attrs["city"] for e in log.cases["c1"].events] == ["café", "Zürich"]
+    text = ("case,activity,timestamp\nc1,a,2021-01-04T08:00:00\n"
+            "c1,b,2021-01-05T08:00:00\uff0b01:00\n")  # a full-width plus
+    with pytest.raises(TimestampParse) as err:
+        parse_csv(_write(tmp_path, "log.csv", text), _mapping_no_resource())
+    assert err.value.row == 3 and "row 3" in str(err.value)
+
+
 def test_parse_timestamp_accepts_zulu_and_offsets():
     assert parse_timestamp("2021-06-15T10:00:00Z") == datetime(2021, 6, 15, 10, 0)
     assert parse_timestamp("2021-06-15T12:00:00+02:00") == datetime(2021, 6, 15, 10, 0)
@@ -425,6 +479,8 @@ def test_parse_xes_malformed(tmp_path):
         parse_xes(_write(tmp_path, "log.xes", "<log><trace>"))
     with pytest.raises(XmlMalformed):
         parse_xes(_write(tmp_path, "log.xes", "<notalog/>"))
+    with pytest.raises(XmlMalformed, match="unknown encoding"):
+        parse_xes(_write(tmp_path, "log.xes", '<?xml version="1.0" encoding="U-TF-8"?><log/>'))
 
 
 def test_parse_xes_no_events_is_empty(tmp_path):
@@ -481,6 +537,13 @@ def test_parse_xes_bad_date_attribute_names_event_and_key(tmp_path):
     assert err.value.row == 2
     assert "event #2" in str(err.value) and "'due'" in str(err.value)
     assert "'yesterday'" in str(err.value)
+
+
+def test_parse_xes_non_ascii_stamp_names_its_event(tmp_path):
+    doc = XES_DOC.replace('value="2021-06-15T12:30:00"', 'value="2021-06-15T12:30:00é"')
+    with pytest.raises(TimestampParse) as err:
+        parse_xes(_write(tmp_path, "log.xes", doc))
+    assert err.value.row == 1 and "event #1" in str(err.value)
 
 
 NAIVE_XES_DOC = XES_DOC.replace("+00:00", "")

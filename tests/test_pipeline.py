@@ -70,6 +70,7 @@ def test_config_role_must_be_single_perspective():
         {"interval_seconds": float("inf")},
         {"beta_primary": float("nan")},
         {"beta_secondary": float("inf")},
+        {"interval_seconds": 1e303},  # finite, but not in microseconds
     ],
 )
 def test_config_numeric_validation(kwargs):
