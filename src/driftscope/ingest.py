@@ -35,6 +35,11 @@ keeps its elements' serial numbers in an ``array`` and its value texts
 interned, and it types one key at a time, freeing each key's record before
 the next, so a document peaks at about twice its size.
 
+Both writers, :func:`write_csv` and :func:`write_xes`, format every stamp
+they emit, attribute stamps too, through one numpy call in :func:`_isoformat`,
+which gives ``datetime.isoformat`` of each; only a CSV mapping's ``strftime``
+pattern goes one stamp at a time.
+
 ``log.meta`` counts what ingest drops or reads with a caveat, each key only
 when non-zero: ``ignored_lifecycle_transitions``, ``case_attr_conflicts``
 (CSV), ``skipped_container_attributes`` (XES ``<list>``/``<container>``
@@ -413,11 +418,9 @@ def parse_csv(path: str | Path, mapping: CsvMapping) -> EventLog:
 def write_csv(log: EventLog, mapping: CsvMapping, path: str | Path) -> None:
     """Export a log to a delimited file laid out per ``mapping``."""
     c = log.columns
-    stamps = c.time_us.astype("datetime64[us]").tolist()
-    if mapping.timestamp_format is None:
-        stamps = [ts.isoformat() for ts in stamps]
-    else:
-        stamps = [ts.strftime(mapping.timestamp_format) for ts in stamps]
+    fmt = mapping.timestamp_format
+    stamps = (_isoformat(c.time_us) if fmt is None
+              else [ts.strftime(fmt) for ts in c.time_us.astype("datetime64[us]").tolist()])
     out = [decode(c.case_ids, c.case), decode(c.activities, c.activity), stamps]
     if mapping.resource_col:
         out.append(decode((*c.resources, ""), c.resource))
@@ -436,9 +439,15 @@ def _formatted(attr: Attribute | None, n: int) -> list[str | None]:
     """Cell texts, None where absent: ``repr`` of numbers, ISO stamps, lower-case booleans."""
     if attr is None:
         return [None] * n
-    fmt = {NUMBER: repr, BOOLEAN: lambda v: "true" if v else "false",
-           TIMESTAMP: datetime.isoformat}.get(attr.type, str)
-    return [fmt(v) if p else None for v, p in zip(attr.values.tolist(), attr.present.tolist())]
+    fmt = {NUMBER: repr, BOOLEAN: lambda v: "true" if v else "false"}.get(attr.type, str)
+    values = _isoformat(attr.values.view("i8")) if attr.type == TIMESTAMP else attr.values.tolist()
+    return [fmt(v) if p else None for v, p in zip(values, attr.present.tolist())]
+
+
+def _isoformat(us: np.ndarray) -> list[str]:
+    """``datetime.isoformat`` of each int64 stamp, which leaves out a zero fraction."""
+    text = np.datetime_as_string(us.astype("datetime64[us]"))
+    return np.where(us % 1_000_000 == 0, text.astype("U19"), text).tolist()
 
 
 _XES_TYPES = {"string": TEXT, "date": TIMESTAMP, "int": NUMBER, "float": NUMBER,
@@ -671,10 +680,9 @@ def _python(vtype: str, value):
 def write_xes(log: EventLog, path: str | Path) -> None:
     """Export a log as an XES document using typed attribute elements."""
     c = log.columns
-    stamps = [ts.isoformat() for ts in c.time_us.astype("datetime64[us]").tolist()]
     trace_cols = [(KEY_ACTIVITY, "string", c.case_ids), *_tagged(c.case_attrs, len(c.case_ids))]
     event_cols = [(KEY_ACTIVITY, "string", decode(c.activities, c.activity)),
-                  (KEY_TIMESTAMP, "date", stamps),
+                  (KEY_TIMESTAMP, "date", _isoformat(c.time_us)),
                   (KEY_RESOURCE, "string", decode((*c.resources, None), c.resource)),
                   (KEY_LIFECYCLE, "string", decode(LIFECYCLES, c.lifecycle)),
                   *_tagged(c.event_attrs, len(c.case))]

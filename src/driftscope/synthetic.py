@@ -15,19 +15,26 @@ data-perspective consequence of the drift therefore appears exactly one
 interval before the control-flow consequence, giving a known ground truth
 for lag analysis. Identical configurations produce identical logs, event
 identifiers included.
+
+Stamps are built in integer microseconds, with no ``datetime`` per event: each
+case's register hour and four gaps become microseconds exactly as
+``timedelta(hours=h)`` rounds them, and are summed in int64 onto its day's
+start (an aware ``start`` steps in absolute time). The random draws, and so
+the written files, are the same for every seed as those of the earlier
+generator that added ``timedelta``s to ``datetime``s.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime
 from itertools import cycle, islice
 
 import numpy as np
 
 from .errors import ConfigInvalid
-from .model import NUMBER, EventLog, coded, columnar_log, sort_and_validate, to_us
+from .model import _US_MAX, NUMBER, EventLog, coded, columnar_log, sort_and_validate, to_us
 
 ACTIVITY_REGISTER = "register"
 ACTIVITY_SUBMIT = "submit_claim"
@@ -57,6 +64,10 @@ class GeneratorConfig:
     start: datetime = datetime(2021, 1, 4)
 
     def __post_init__(self):
+        for name in ("seed", "days", "cases_per_day", "drift_day"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigInvalid(f"{name} must be an int, got {value!r}")
         if self.days < 1 or self.cases_per_day < 1:
             raise ConfigInvalid("days and cases_per_day must be at least 1")
         if not 1 <= self.drift_day <= self.days:
@@ -71,6 +82,13 @@ class GeneratorConfig:
             raise ConfigInvalid("pay_probability must lie in [0, 1]")
         if not self.resource_pool:
             raise ConfigInvalid("resource pool must not be empty")
+        try:
+            start_us = to_us(self.start)
+        except OverflowError:  # an aware start whose UTC instant datetime cannot hold
+            raise ConfigInvalid(f"start {self.start} lies outside datetime's range") from None
+        # the last case ends at most 10 + 36 + 2 + 2 + 1 = 51 hours after its day's start
+        if start_us + (self.days - 1) * 86_400_000_000 + 51 * 3_600_000_000 > _US_MAX:
+            raise ConfigInvalid(f"{self.days} days from {self.start} run past {datetime.max}")
 
 
 def _truncated_age(rng: random.Random, mean: float, stddev: float) -> float:
@@ -79,6 +97,12 @@ def _truncated_age(rng: random.Random, mean: float, stddev: float) -> float:
         if _AGE_LO <= value <= _AGE_HI:
             return float(round(value))
     return float(round(min(max(mean, _AGE_LO), _AGE_HI)))
+
+
+def _hours_to_us(hours: np.ndarray) -> np.ndarray:
+    """``timedelta(hours=h)`` of each ``h`` in microseconds, its fraction's rounded half to even."""
+    frac, whole = np.modf(hours)
+    return whole.astype(np.int64) * 3_600_000_000 + np.rint(frac * 3.6e9).astype(np.int64)
 
 
 def available_channels(age: float, config: GeneratorConfig) -> list[str]:
@@ -96,38 +120,32 @@ def generate(config: GeneratorConfig) -> EventLog:
     rng = random.Random(config.seed)
     case_ids: list[str] = []
     activity: list[str] = []
-    stamps: list[datetime] = []
+    hours: list[float] = []
     ages: list[float] = []
     for day in range(1, config.days + 1):
-        day_start = config.start + timedelta(days=day - 1)
         age_mean = config.pre_age_mean if day < config.drift_day else config.post_age_mean
         for case_no in range(1, config.cases_per_day + 1):
             case_ids.append(f"c{day:04d}_{case_no:03d}")
 
-            # The very first register event anchors the interval grid at
-            # exactly 08:00, so every other timing window below stays inside
-            # a single one-day interval relative to that anchor.
-            if day == 1 and case_no == 1:
-                register_hour = 8.0
-            else:
-                register_hour = rng.uniform(8.0, 10.0)
-            t_register = day_start + timedelta(hours=register_hour)
+            # The very first register event anchors the interval grid at exactly
+            # 08:00, so every timing window below (the hours to notify, submit,
+            # decide and close) stays inside a single one-day interval from it.
+            hours.append(8.0 if day == 1 and case_no == 1 else rng.uniform(8.0, 10.0))
             age = _truncated_age(rng, age_mean, config.age_stddev)
             ages.append(age)
             channel = rng.choice(available_channels(age, config))
-            t_notify = t_register + timedelta(hours=rng.uniform(24.0, 36.0))
-            t_submit = t_notify + timedelta(hours=rng.uniform(1.0, 2.0))
-            t_decide = t_submit + timedelta(hours=rng.uniform(1.0, 2.0))
+            hours += (rng.uniform(24.0, 36.0), rng.uniform(1.0, 2.0), rng.uniform(1.0, 2.0))
             outcome = ACTIVITY_PAY if rng.random() < config.pay_probability else ACTIVITY_REJECT
-            t_close = t_decide + timedelta(hours=rng.uniform(0.5, 1.0))
+            hours.append(rng.uniform(0.5, 1.0))
             activity += (ACTIVITY_REGISTER, channel, ACTIVITY_SUBMIT, ACTIVITY_DECIDE, outcome)
-            stamps += (t_register, t_notify, t_submit, t_decide, t_close)
 
+    steps = _hours_to_us(np.array(hours)).reshape(-1, 5)
+    steps[:, 0] += to_us(config.start) + np.repeat(
+        np.arange(config.days, dtype=np.int64) * 86_400_000_000, config.cases_per_day)
     # five events per case, the age on each register event, resources in turn
-    n = len(stamps)
+    n = len(hours)
     return sort_and_validate(columnar_log(
         (case_ids, np.repeat(np.arange(len(case_ids), dtype=np.int32), 5)), coded(activity),
-        coded(list(islice(cycle(config.resource_pool), n))), None,
-        np.fromiter(map(to_us, stamps), np.int64, n),
+        coded(list(islice(cycle(config.resource_pool), n))), None, steps.cumsum(axis=1).ravel(),
         {"age": (np.arange(0, n, 5), NUMBER, ages)}, {}, {},
     ))

@@ -133,12 +133,13 @@ class IntervalSequence:
 
 
 def duration_to_us(duration_seconds: float) -> int:
-    """An interval duration in whole microseconds; raise unless it is finite and positive."""
+    """An interval duration in whole microseconds; raise unless it is positive and
+    its microseconds fit int64 (a NaN, an infinity or a huge int does not)."""
     dur_us = duration_seconds * US_PER_SECOND
-    dur_us = round(dur_us) if np.isfinite(dur_us) else 0  # finite seconds may overflow in us
+    dur_us = round(dur_us) if 0 < dur_us < 2**63 else 0
     if dur_us <= 0:
         raise ConfigInvalid(
-            f"interval duration must be finite and positive, got {duration_seconds}")
+            f"interval duration must be positive and below 2**63 us, got {duration_seconds}")
     return dur_us
 
 

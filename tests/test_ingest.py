@@ -4,6 +4,7 @@ import csv
 import hashlib
 from datetime import datetime
 
+import numpy as np
 import pytest
 
 from driftscope.errors import (
@@ -22,12 +23,13 @@ from driftscope.errors import (
 )
 from driftscope.ingest import (
     CsvMapping,
+    _isoformat,
     parse_csv,
     parse_xes,
     write_csv,
     write_xes,
 )
-from driftscope.model import Case, Event, EventLog, sort_and_validate
+from driftscope.model import _US_MAX, _US_MIN, Case, Event, EventLog, from_us, sort_and_validate
 from driftscope.synthetic import GeneratorConfig, generate
 
 from conftest import CLAIMS_CSV, logs_equivalent
@@ -650,3 +652,31 @@ def test_xes_writer_bytes_are_pinned(tmp_path):
     write_xes(generate(GeneratorConfig(seed=2, days=4, cases_per_day=3, drift_day=2)), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "2126bf6fde0ae387b2b9f666aa05681aef18c4e00322fa26d0a7932a94b9d90d")
+
+
+def test_isoformat_matches_datetime_isoformat():
+    rng = np.random.default_rng(11)
+    us = np.concatenate([
+        [_US_MIN, _US_MAX, -1, 0, 1, -1_000_000, 1_000_000, _US_MIN + 999_999, _US_MAX - 999_999],
+        rng.integers(_US_MIN, _US_MAX, 5_000, endpoint=True),
+        rng.integers(_US_MIN // 1_000_000, _US_MAX // 1_000_000, 5_000) * 1_000_000,
+    ]).astype(np.int64)
+    assert _isoformat(us) == [from_us(u).isoformat() for u in us.tolist()]
+    assert _isoformat(np.array([], np.int64)) == []
+
+
+def test_writers_bytes_are_pinned_for_every_attribute_type(tmp_path):
+    # timestamp attributes, with and without a fraction, pass through _isoformat too
+    mapping = CsvMapping(
+        case_id_col="case", activity_col="activity", timestamp_col="time",
+        resource_col="resource", lifecycle_col="life",
+        event_attr_cols=("amount", "urgent", "due", "note", "absent"),
+        case_attr_cols=("budget", "vip", "opened", "region"), delimiter=";",
+    )
+    log = _typed_log(empty_text=False)
+    write_csv(log, mapping, tmp_path / "log.csv")
+    write_xes(log, tmp_path / "log.xes")
+    assert hashlib.sha256((tmp_path / "log.csv").read_bytes()).hexdigest() == (
+        "c4392ec4c4352690a352b3b698a2cdc015e1c46a12bf513dfca699d96a998477")
+    assert hashlib.sha256((tmp_path / "log.xes").read_bytes()).hexdigest() == (
+        "d7a230dba6643205d3d0feda604315a5c3d3fa31d66d58f98b854f21559ff127")

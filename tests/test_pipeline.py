@@ -71,6 +71,7 @@ def test_config_role_must_be_single_perspective():
         {"beta_primary": float("nan")},
         {"beta_secondary": float("inf")},
         {"interval_seconds": 1e303},  # finite, but not in microseconds
+        {"interval_seconds": 10**20},  # an int whose microseconds pass int64
     ],
 )
 def test_config_numeric_validation(kwargs):

@@ -1,14 +1,21 @@
 """Synthetic claim-log generator: determinism, timing layout, drift shape."""
 
+import hashlib
 import math
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from driftscope.cli import GENERATOR_MAPPING
 from driftscope.errors import ConfigInvalid
+from driftscope.ingest import write_csv, write_xes
 from driftscope.synthetic import (
     CHANNELS,
     GeneratorConfig,
+    _hours_to_us,
     available_channels,
     generate,
 )
@@ -174,8 +181,71 @@ def test_always_pay_and_never_pay():
         {"pay_probability": 1.5},
         {"pay_probability": -0.1},
         {"resource_pool": ()},
+        {"days": 2.5, "drift_day": 1},
+        {"cases_per_day": 3.0},
+        {"drift_day": 4.0},
+        {"seed": 1.5},
+        {"seed": "1"},
+        {"days": True, "drift_day": 1},
+        {"seed": False},
+        {"start": datetime(9999, 12, 1), "days": 60, "cases_per_day": 1, "drift_day": 1},
+        {"start": datetime(1, 1, 1, tzinfo=timezone(timedelta(hours=1)))},
     ],
 )
 def test_config_validation(kwargs):
     with pytest.raises(ConfigInvalid):
         GeneratorConfig(**kwargs)
+
+
+def test_the_widest_case_may_end_at_the_last_instant_datetime_holds():
+    # a case reaches at most 10 + 36 + 2 + 2 + 1 = 51 hours past its day's start
+    last = datetime.max - timedelta(days=2, hours=51)
+    log = generate(GeneratorConfig(start=last, days=3, cases_per_day=4, drift_day=2))
+    assert log.event_count == 3 * 4 * 5
+    with pytest.raises(ConfigInvalid):
+        GeneratorConfig(start=last + timedelta(microseconds=1), days=3, cases_per_day=4,
+                        drift_day=2)
+
+
+def _timedelta_us(hours: float) -> int:
+    return timedelta(hours=hours) // timedelta(microseconds=1)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.floats(0.0, 48.0, exclude_max=True), min_size=1, max_size=50))
+def test_hours_become_the_microseconds_timedelta_gives(hours):
+    assert _hours_to_us(np.array(hours)).tolist() == [_timedelta_us(h) for h in hours]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 48 * 3_600_000_000 - 1))
+def test_exact_halfway_microseconds_round_half_to_even(k):
+    hours = (k + 0.5) / 3.6e9
+    assert _hours_to_us(np.array([hours])).tolist() == [_timedelta_us(hours)]
+
+
+def test_halfway_fractions_are_met_and_round_to_even():
+    hours = [(k + 0.5) / 3.6e9 for k in range(0, 48 * 3_600_000_000, 4_999_999)]
+    halfway = [h for h in hours if math.modf(math.modf(h)[0] * 3.6e9)[0] == 0.5]
+    assert len(halfway) > 1000
+    got = _hours_to_us(np.array(halfway)).tolist()
+    assert got == [_timedelta_us(h) for h in halfway]
+    assert all(us % 2 == 0 for us in got)  # each ends in .5, so rounds to the even side
+
+
+# sha256 of what the writers produce for these configurations, taken from the
+# generator that added ``timedelta``s to ``datetime``s event by event
+@pytest.mark.parametrize("start,csv_digest,xes_digest", [
+    (GeneratorConfig.start,
+     "1d066bf79953fed4cd32c498708bd431e363ffa77fe755caca43937d0d3484ed",
+     "4cae48ea1a3576661d4e9f3c3010bacac085369141552c0476c2105881d01e1c"),
+    (datetime(2021, 1, 4, 6, 30, 15, 250001),
+     "4bc365399618c7a796138be9d6dfe61481aeb04ba3a64c97df1c3050798071ae",
+     "748ae7af68533a9f784e27f5360f22b689e87b3c0b9fc855e2def0c2d3361649"),
+], ids=["default-start", "start-with-microseconds"])
+def test_written_generated_logs_are_pinned(tmp_path, start, csv_digest, xes_digest):
+    log = generate(GeneratorConfig(seed=5, days=8, cases_per_day=3, drift_day=4, start=start))
+    write_csv(log, GENERATOR_MAPPING, tmp_path / "log.csv")
+    write_xes(log, tmp_path / "log.xes")
+    assert hashlib.sha256((tmp_path / "log.csv").read_bytes()).hexdigest() == csv_digest
+    assert hashlib.sha256((tmp_path / "log.xes").read_bytes()).hexdigest() == xes_digest

@@ -89,6 +89,14 @@ def test_build_intervals_rejects_bad_duration():
             build_intervals(log, bad)
 
 
+def test_duration_past_int64_microseconds_is_config_invalid():
+    for bad in (10**20, 2**63 // US_PER_SECOND + 1, 1e20, 2.0**63 / US_PER_SECOND):
+        with pytest.raises(ConfigInvalid):
+            duration_to_us(bad)
+    assert duration_to_us(2**63 // US_PER_SECOND) == 2**63 // US_PER_SECOND * US_PER_SECOND
+    assert duration_to_us(86400) == 86_400_000_000
+
+
 def test_interval_membership_is_half_open():
     iv = TimeInterval(0, 3600 * US_PER_SECOND)
     assert iv.contains_us(0)
