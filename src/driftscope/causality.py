@@ -37,6 +37,7 @@ its column's norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -120,8 +121,8 @@ def _f_statistics(effects: np.ndarray, causes: np.ndarray, k: int) -> np.ndarray
     """F-statistic of every (effect row, cause row) pair at lag ``k``; NaN if degenerate."""
     if not (np.isfinite(effects).all() and np.isfinite(causes).all()):
         raise ValueError("series must be finite")
-    if k < 1:
-        raise ValueError(f"lag must be at least 1, got {k}")
+    if isinstance(k, bool) or not isinstance(k, Integral) or k < 1:
+        raise ValueError(f"lag must be an integer of at least 1, got {k}")
     n = effects.shape[1]
     if n < min_series_length(k):
         raise ValueError(
@@ -184,8 +185,8 @@ def granger_test(effect, cause, lag: int) -> GrangerResult:
     x = np.asarray(cause, dtype=float)
     if y.ndim != 1 or x.ndim != 1 or y.shape != x.shape:
         raise ValueError("effect and cause must be 1-d series of equal length")
+    f_stat = float(_f_statistics(y[None], x[None], lag)[0, 0])
     k = int(lag)
-    f_stat = float(_f_statistics(y[None], x[None], k)[0, 0])
     if np.isnan(f_stat):
         raise DegenerateSeries("constant series or rank-deficient design (collinear lags)")
     n_eff, dof_den = _sizes(y.shape[0], k)
@@ -200,7 +201,9 @@ def granger_test(effect, cause, lag: int) -> GrangerResult:
 
 
 def check_p_threshold(p_threshold: float) -> None:
-    """Raise :class:`ConfigInvalid` unless the threshold lies in [0, 1)."""
+    """Raise :class:`ConfigInvalid` unless the threshold is a number in [0, 1)."""
+    if not isinstance(p_threshold, Real):
+        raise ConfigInvalid(f"p-value threshold must be a number, got {p_threshold!r}")
     if not 0.0 <= p_threshold < 1.0:
         raise ConfigInvalid(f"p-value threshold must lie in [0, 1), got {p_threshold}")
 
@@ -219,8 +222,8 @@ def test_all_pairs(
             "primary and secondary series were built over different interval sequences"
         )
     check_p_threshold(p_threshold)
+    f = _f_statistics(primary.values, secondary.values, lag)
     k = int(lag)
-    f = _f_statistics(primary.values, secondary.values, k)
     dof_den = _sizes(primary.n_intervals, k)[1]
     pairs: list[CausalPair] = []
     for i, j in zip(*np.nonzero(~np.isnan(f))):

@@ -4,15 +4,16 @@ A segmentation of the interval axis is scored as the sum, over segments, of
 the within-segment squared deviation from the segment mean (summed across
 all feature rows) plus a penalty ``beta`` per segment. :func:`pelt` finds
 the exact minimiser with pruned dynamic programming, pricing all live
-candidates of a step in one numpy pass over prefix sums (three passes over
-the ``m`` feature rows per candidate) and keeping states in flat arrays with
-back-pointers. Without pruning the work is still O(n * live * m) for ``n``
-intervals and ``live`` candidates. A row zero in every interval costs 0.0
-in every segment and is skipped, so ``m`` counts only the other rows: for
-``control_flow:df``, the directly-follows pairs observed, not A² for A
-activities. Change points are 1-based indices of the first interval of
-each new segment; cost ties go to fewer change points, then to
-lexicographically earlier indices; segments have a minimum length.
+candidates of a step with plain numpy expressions over prefix sums (a
+gather, a subtraction and a sum of squares over the ``m`` feature rows per
+candidate) and keeping states in flat arrays with back-pointers. Without
+pruning the work is still O(n * live * m) for ``n`` intervals and ``live``
+candidates. A row zero in every interval costs 0.0 in every segment and is
+skipped, so ``m`` counts only the other rows: for ``control_flow:df``, the
+directly-follows pairs observed, not A² for A activities. Change points
+are 1-based indices of the first interval of each new segment; cost ties go
+to fewer change points, then to lexicographically earlier indices; segments
+have a minimum length.
 
 Matrices are usually normalised first so that the penalty is comparable
 across features with different scales: ``max_abs`` divides each row by its
@@ -23,6 +24,7 @@ maximum absolute value (default), ``zscore`` standardises each row, and
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, replace as _replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -50,12 +52,15 @@ class PeltConfig:
     beta_name: InitVar[str] = "beta"
 
     def __post_init__(self, beta_name: str):
+        if not isinstance(self.beta, Real):
+            raise ConfigInvalid(f"{beta_name} must be a number, got {self.beta!r}")
         if not 0 <= self.beta < float("inf"):
             raise ConfigInvalid(f"{beta_name} must be finite and non-negative, got {self.beta}")
-        if self.min_segment_length < 1:
-            raise ConfigInvalid(
-                f"minimum segment length must be at least 1, got {self.min_segment_length}"
-            )
+        msl = self.min_segment_length
+        if isinstance(msl, bool) or not isinstance(msl, Integral):
+            raise ConfigInvalid(f"minimum segment length must be an integer, got {msl!r}")
+        if msl < 1:
+            raise ConfigInvalid(f"minimum segment length must be at least 1, got {msl}")
         _check_normalization(self.normalize)
 
 
@@ -123,11 +128,10 @@ class SegmentCost:
     The ``(n + 1) x m`` sums keep each feature row apart; the squares, whose
     term does not depend on the split, keep one row-summed value per ``j``, as
     ``sum_r (q_r - s_r**2 / L) = Q[end] - Q[s] - sum_r s_r**2 / L``. :meth:`price`
-    makes three ``m``-wide passes per start, ``WORKSPACE`` floats at a time.
+    gathers, subtracts and squares the sums of all starts in one workspace of
+    that size.
     All-zero rows are left out; a matrix without one is used uncopied.
     """
-
-    WORKSPACE = 1 << 16
 
     def __init__(self, values: np.ndarray):
         values = np.asarray(values, dtype=float)
@@ -139,25 +143,16 @@ class SegmentCost:
         self._sumsq = np.zeros(n + 1)
         np.cumsum(np.einsum("ij,ij->j", values, values), out=self._sumsq[1:])
         self.total_ss = self._sumsq[n]
-        self._rows = max(1, self.WORKSPACE // max(m, 1))
-        self._s = np.empty((min(self._rows, n + 1), m))
-        self._span = np.empty(n + 1)
+        self._s = np.empty_like(self._sum)
 
     def price(self, starts: np.ndarray, end: int, out: np.ndarray) -> np.ndarray:
         """Write the cost of columns ``[s, end)`` for each ``s`` in ``starts``
         into ``out``; a start's price does not depend on the other starts."""
-        last = self._sum[end]
-        for lo in range(0, len(starts), self._rows):
-            part = starts[lo:lo + self._rows]
-            s = self._s[:len(part)]
-            self._sum.take(part, axis=0, out=s, mode="clip")
-            np.subtract(last, s, out=s)
-            np.einsum("ij,ij->i", s, s, out=out[lo:lo + len(part)])
-        span = self._span[:len(starts)]
-        np.divide(out, np.subtract(end, starts, out=span), out=out)
-        self._sumsq.take(starts, out=span, mode="clip")
-        np.subtract(self._sumsq[end], span, out=span)
-        return np.subtract(span, out, out=out)
+        s = self._sum.take(starts, axis=0, out=self._s[:len(starts)], mode="clip")
+        np.subtract(self._sum[end], s, out=s)
+        np.einsum("ij,ij->i", s, s, out=out)
+        out /= end - starts
+        return np.subtract(self._sumsq[end] - self._sumsq[starts], out, out=out)
 
     def cost(self, a: int, b: int) -> float:
         """Cost of columns ``[a, b)`` (0-based, half-open), priced by :meth:`price`."""
@@ -165,8 +160,9 @@ class SegmentCost:
 
 
 def _points(matrix: TimeSeriesMatrix, boundaries: tuple[int, ...]) -> tuple[ChangePoint, ...]:
-    ivs = matrix.intervals.intervals
-    return tuple(ChangePoint(index=b + 1, interval=ivs[b]) for b in boundaries)
+    d = matrix.intervals.duration_us
+    return tuple(ChangePoint(index=b + 1, interval=TimeInterval(b * d, (b + 1) * d))
+                 for b in boundaries)
 
 
 def _boundaries(back: np.ndarray, state: int) -> tuple[int, ...]:
@@ -195,8 +191,10 @@ def pelt(matrix: TimeSeriesMatrix, cfg: PeltConfig) -> ChangePointSet:
 
     ``F`` and the back-pointer of each state are arrays; the ascending
     candidate array's usable prefix (``t - s >= min_segment_length``) is
-    priced in one :meth:`SegmentCost.price` pass. Only exact ties rebuild
-    boundary tuples from the back-pointers, to apply the tie-break.
+    priced in one :meth:`SegmentCost.price` pass into a fresh array, to which
+    the step adds ``F`` of each start and then the penalty. The minimum, the
+    tied starts and the pruned starts are one comparison each. Only exact ties
+    rebuild boundary tuples from the back-pointers, to apply the tie-break.
     """
     work = normalize(matrix, cfg.normalize)
     n = work.n_intervals
@@ -214,9 +212,6 @@ def pelt(matrix: TimeSeriesMatrix, cfg: PeltConfig) -> ChangePointSet:
     back = np.zeros(n + 1, dtype=np.int64)
     candidates = np.zeros(n + 1, dtype=np.int64)
     drop_at = np.full(n + 1, never, dtype=np.int64)
-    base_buf = np.empty(n + 1)
-    total_buf = np.empty(n + 1)
-    flag_buf = np.empty(n + 1, dtype=bool)
     size = 1
     next_drop = never
     evaluations = 0
@@ -230,27 +225,22 @@ def pelt(matrix: TimeSeriesMatrix, cfg: PeltConfig) -> ChangePointSet:
             size = kept
             next_drop = int(drop_at[:size].min())
         live = int(candidates[:size].searchsorted(t - msl, side="right"))
-        starts, base, total = candidates[:live], base_buf[:live], total_buf[:live]
-        flags = flag_buf[:live]
-        cost.price(starts, t, base)
-        objective.take(starts, out=total, mode="clip")
-        np.add(total, base, out=base)
-        np.add(base, beta, out=total)
+        starts = candidates[:live]
+        base = cost.price(starts, t, np.empty(live)) + objective.take(starts)
+        total = base + beta
         evaluations += live
 
         pick = int(total.argmin())
         best = total[pick]
-        chosen = int(starts[pick])
-        np.equal(total, best, out=flags)
-        if flags.sum() > 1:
-            chosen = min(starts[flags].tolist(),  # fewer points, earlier boundaries
-                         key=lambda s: (len(bounds := _boundaries(back, s)), bounds))
+        tied = starts[total == best]
         objective[t] = best
-        back[t] = chosen
+        back[t] = starts[pick] if len(tied) == 1 else min(
+            tied.tolist(),  # fewer points, earlier boundaries
+            key=lambda s: (len(bounds := _boundaries(back, s)), bounds))
 
-        np.greater(base, best + margin, out=flags)
-        if flags.any():
-            np.minimum(drop_at[:live], t + msl, out=drop_at[:live], where=flags)
+        pruned = base > best + margin
+        if pruned.any():
+            drop_at[:live][pruned] = np.minimum(drop_at[:live][pruned], t + msl)
             next_drop = min(next_drop, t + msl)
         candidates[size] = t
         drop_at[size] = never

@@ -44,6 +44,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from functools import cached_property, partial
+from numbers import Integral, Real
 from statistics import fmean
 
 import numpy as np
@@ -133,9 +134,12 @@ class IntervalSequence:
 
 
 def duration_to_us(duration_seconds: float) -> int:
-    """An interval duration in whole microseconds; raise unless it is positive and
-    its microseconds fit int64 (a NaN, an infinity or a huge int does not)."""
-    dur_us = duration_seconds * US_PER_SECOND
+    """The duration in whole microseconds; ConfigInvalid unless it is a positive real number
+    whose microseconds fit int64. A numpy scalar is read as a Python number, so it cannot wrap."""
+    if not isinstance(duration_seconds, Real):
+        raise ConfigInvalid(f"interval duration must be a number, got {duration_seconds!r}")
+    dur_us = (int if isinstance(duration_seconds, Integral) else float)(duration_seconds)
+    dur_us *= US_PER_SECOND
     dur_us = round(dur_us) if 0 < dur_us < 2**63 else 0
     if dur_us <= 0:
         raise ConfigInvalid(

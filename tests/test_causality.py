@@ -221,6 +221,28 @@ def test_all_pairs_threshold_validation():
             scan_pairs(primary, secondary, lag=1, p_threshold=bad)
 
 
+def test_all_pairs_threshold_must_be_a_number():
+    primary, secondary = _pair_matrices()
+    for bad in ("0.05", None):
+        with pytest.raises(ConfigInvalid):
+            scan_pairs(primary, secondary, lag=1, p_threshold=bad)
+
+
+def test_a_lag_that_is_not_an_integer_is_refused():
+    primary, secondary = _pair_matrices()
+    effect, cause = primary.values[0], secondary.values[0]
+    for bad in (2.9, 2.7, 2.0, "2", True):  # 2.9 and 2.7 used to run at lag 2
+        with pytest.raises(ValueError, match="lag must be an integer"):
+            granger_test(effect, cause, bad)
+        with pytest.raises(ValueError, match="lag must be an integer"):
+            scan_pairs(primary, secondary, lag=bad, p_threshold=0.05)
+    result = granger_test(effect, cause, np.int64(2))
+    assert result == granger_test(effect, cause, 2)
+    assert type(result.lag) is int
+    assert scan_pairs(primary, secondary, np.int64(2), 0.05) == scan_pairs(
+        primary, secondary, 2, 0.05)
+
+
 def test_all_pairs_rejects_mismatched_intervals():
     primary, _ = _pair_matrices()
     other = TimeSeriesMatrix.from_rows(

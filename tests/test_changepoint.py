@@ -69,6 +69,27 @@ def test_config_validation():
     assert PeltConfig(beta=0.0).normalize == "max_abs"
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"beta": "1"},
+        {"beta": None},
+        {"beta": 1.0, "min_segment_length": 2.0},  # used to fail in pelt's range()
+        {"beta": 1.0, "min_segment_length": 2.5},
+        {"beta": 1.0, "min_segment_length": "2"},
+        {"beta": 1.0, "min_segment_length": True},
+    ],
+)
+def test_config_refuses_settings_of_the_wrong_type(kwargs):
+    with pytest.raises(ConfigInvalid):
+        PeltConfig(**kwargs)
+
+
+def test_config_takes_a_numpy_integer_segment_length():
+    m = _random_matrix(np.random.default_rng(5), m=3, n=30, shifts=2)
+    assert pelt(m, _cfg(1.0, msl=np.int64(3))) == pelt(m, _cfg(1.0, msl=3))
+
+
 # ------------------------------------------------------------ normalization
 
 
@@ -126,7 +147,7 @@ def test_segment_cost_single_column_is_zero():
 def test_a_price_does_not_depend_on_the_other_starts(m):
     # pelt and the unpruned oracle price different sets of starts at a step,
     # so their totals agree bit for bit only if no price depends on its
-    # company; at 64 and 200 rows the starts fill more than one workspace
+    # company; at 64 and 200 rows a step prices well over a thousand starts
     rng = np.random.default_rng(m)
     n = 2600
     values = rng.normal(0.0, 1.0, size=(m, n)) + rng.normal(0.0, 50.0, size=(m, 1))

@@ -3,6 +3,7 @@
 import json
 from datetime import datetime, timedelta
 
+import numpy as np
 import pytest
 
 import driftscope
@@ -98,6 +99,26 @@ def test_config_rejects_bad_pelt_settings_when_constructed(kwargs, field):
         FrameworkConfig(primary_specs=[parse_spec("control_flow:df")],
                         secondary_specs=[parse_spec("data:event_count")],
                         interval_seconds=3600, **kwargs)
+    assert field in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "kwargs,field",
+    [
+        ({"interval_seconds": np.int64(18446744073710)}, "interval duration"),  # wrapped
+        ({"interval_seconds": "3600"}, "interval duration"),
+        ({"beta_primary": "3"}, "beta_primary"),
+        ({"beta_secondary": None}, "beta_secondary"),
+        ({"p_threshold": "0.05"}, "p-value threshold"),
+        ({"min_segment_length": 2.0}, "minimum segment length"),
+        ({"min_segment_length": np.float64(2.5)}, "minimum segment length"),
+    ],
+)
+def test_config_refuses_values_of_the_wrong_type_when_constructed(kwargs, field):
+    with pytest.raises(ConfigInvalid) as err:
+        FrameworkConfig(**{"primary_specs": [parse_spec("control_flow:df")],
+                           "secondary_specs": [parse_spec("data:event_count")],
+                           "interval_seconds": 3600, **kwargs})
     assert field in str(err.value)
 
 
@@ -343,3 +364,18 @@ def test_run_builds_the_event_table_once_for_both_roles(monkeypatch):
     run(log, _drift_config())
     assert len(series) == 2  # one matrix per role, through the module attribute
     assert tables == [log]
+
+
+def test_hourly_log_keeps_its_exact_pelt_search():
+    # the hourly-flat benchmark's log, built in memory: about 980 mostly empty
+    # hours and no primary drift, so unpruned PELT does nearly all the work;
+    # the counts and the bits of each total pin the search, not just its result
+    log = generate(GeneratorConfig(seed=1, days=40, cases_per_day=20, drift_day=20))
+    report = run(log, FrameworkConfig(primary_specs=[parse_spec("control_flow:df")],
+                                      secondary_specs=[parse_spec("data:agg(age)")],
+                                      interval_seconds=3600))
+    primary, secondary = report.primary_cps, report.secondary_cps
+    assert primary.evaluations + secondary.evaluations == 487_786
+    assert (len(primary), len(secondary)) == (0, 79)
+    assert primary.total_cost == 31.233765495280274
+    assert secondary.total_cost == 123.42144387954424

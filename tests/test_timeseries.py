@@ -97,6 +97,17 @@ def test_duration_past_int64_microseconds_is_config_invalid():
     assert duration_to_us(86400) == 86_400_000_000
 
 
+def test_duration_must_be_a_real_number_and_a_numpy_integer_does_not_wrap():
+    # 18446744073710 s is about 585,000 years; its microseconds used to wrap
+    # in int64 to 448,384, a 0.45-second interval
+    for bad in (np.int64(18446744073710), np.int64(2**62), "3600", None, 1j):
+        with pytest.raises(ConfigInvalid):
+            duration_to_us(bad)
+    assert duration_to_us(np.int64(3600)) == duration_to_us(3600) == 3_600_000_000
+    assert duration_to_us(np.float64(1.5)) == 1_500_000
+    assert duration_to_us(np.int64(2**63 // US_PER_SECOND)) == 2**63 // US_PER_SECOND * US_PER_SECOND
+
+
 def test_interval_membership_is_half_open():
     iv = TimeInterval(0, 3600 * US_PER_SECOND)
     assert iv.contains_us(0)
