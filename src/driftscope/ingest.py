@@ -6,9 +6,10 @@ per-event values to :func:`~driftscope.model.columnar_log`, and build no
 per-event objects. The CSV reader understands RFC-4180 quoting with a
 configurable delimiter. It reads ``_BLOCK_ROWS`` (4,096) rows at a time and
 codes every column it keeps, attribute columns too, through a
-:class:`~driftscope.model.Coder`, so between blocks it holds only stamps and
-codes. A CSV costs its finished columns plus about one block of Python
-strings, and peaks at about twice the file's size. A
+:class:`~driftscope.model.Coder`, so between blocks it holds only one int32
+first-row buffer per coded column and the stamps in one int64 buffer. A CSV
+costs its finished columns plus about one block of Python strings, and peaks
+at 1.6 to 2 times the file's size. A
 :class:`CsvMapping` names the columns holding the mandatory fields (case id,
 activity, timestamp) plus any optional ones, and may carry a ``strftime``
 pattern for non-ISO timestamps. Attribute columns are typed by inference
@@ -31,9 +32,10 @@ trace/event subset of IEEE 1849-2016 with string/date/int/float/boolean
 attributes. The standard keys concept:name, time:timestamp, org:resource and
 lifecycle:transition map onto the model fields; everything else is kept as
 a typed attribute, and the last of two values of one key wins. Per key it
-keeps its elements' serial numbers in an ``array`` and its value texts
-interned, and it types one key at a time, freeing each key's record before
-the next, so a document peaks at about twice its size.
+keeps its elements' serial numbers in an ``array`` and its value texts,
+interned unless they do not repeat, and it types one key at a time, freeing
+each key's record before the next, so a document peaks at about twice its
+size.
 
 Both writers, :func:`write_csv` and :func:`write_xes`, format every stamp
 they emit, attribute stamps too, through one numpy call in :func:`_isoformat`,
@@ -268,11 +270,12 @@ def _read_columns(path, mapping: CsvMapping):
     :class:`~driftscope.model.Coder` of the stripped cells of each mapped
     column, by name: case id, activity, resource, lifecycle and every
     attribute column, the timestamp column only when it is also an attribute;
-    the stamps in microseconds and which of them carried an offset; and the
-    first bad stamp as ``(row index, text, error)``."""
+    the stamps in microseconds and which of them carried an offset, each
+    grown block by block in one buffer; and the first bad stamp as
+    ``(row index, text, error)``."""
     cols = mapping.columns()  # the third is the timestamp's, coded only as an attribute
     coders = {col: Coder() for col in cols[:2] + cols[3:]}
-    stamps, aware, first_bad, n = [], [], None, 0
+    stamps, aware, first_bad = array("q"), bytearray(), None
     collecting = gc.isenabled()
     gc.disable()  # many fresh row lists the collector need not walk
     try:
@@ -302,19 +305,18 @@ def _read_columns(path, mapping: CsvMapping):
                     del transposed
                     us, offset, bad = _parse_stamps(texts, mapping.timestamp_format)
                     if bad is not None and first_bad is None:
-                        first_bad = n + bad[0], texts[bad[0]], bad[1]
-                    stamps.append(us)
-                    aware.append(offset)
-                    n += len(us)
+                        first_bad = len(stamps) + bad[0], texts[bad[0]], bad[1]
+                    stamps.frombytes(us.view(np.uint8))
+                    aware.extend(offset.view(np.uint8))
                     del texts  # free this block's strings before the next is read
             except (UnicodeDecodeError, csv.Error):
                 raise _unreadable(path, mapping.delimiter) from None
     finally:
         if collecting:
             gc.enable()
-    if not n:
+    if not stamps:
         raise EmptyLog(f"{path}: no data rows")
-    return coders, np.concatenate(stamps), np.concatenate(aware), first_bad
+    return coders, np.frombuffer(stamps, np.int64), np.frombuffer(aware, bool), first_bad
 
 
 def _unreadable(path, delimiter: str) -> RowUnreadable:
@@ -461,14 +463,33 @@ def _read_xes(path):
     """Stream the document. Returns the root's name; where each trace and event
     starts, as the serial number of its element; each event's trace; per
     attribute key, the serial numbers, tags and value texts of its trace-level
-    and of its event-level records, the texts interned through the record's
-    own dict; and the number of ``<list>`` and ``<container>`` elements of
-    traces and events. Serial numbers and traces are ``array("q")``s."""
+    and of its event-level records; and the number of ``<list>`` and
+    ``<container>`` elements of traces and events. Serial numbers and traces
+    are ``array("q")``s.
+
+    A record interns its texts through its own dict until, at two checks in a
+    row (at traces 1, 2, 4, 8, ...), the dict holds one entry per record and
+    more entries than traces have begun; then it keeps them as read. A key
+    seen at most once per trace keeps interning: a few traces say little of it."""
     parser = expat.ParserCreate(namespace_separator="}")
     parser.ordered_attributes = True
     names: dict[str, str] = {}
     root, trace_keys, event_keys = [], {}, {}
     trace_at, event_at, event_trace = array("q"), array("q"), array("q")
+    as_read = {}.get  # (text, text) -> text, storing nothing
+    distinct: set[tuple[int, str]] = set()  # the records that passed the last check
+
+    def settle():
+        nonlocal distinct
+        passed = set()
+        for level, keys in enumerate((trace_keys, event_keys)):
+            for key, (at, tags, texts, intern) in keys.items():
+                if intern is not as_read and len(intern.__self__) == len(texts) > len(trace_at):
+                    if (level, key) in distinct:
+                        keys[key] = at, tags, texts, as_read  # frees the dict
+                    passed.add((level, key))
+        distinct = passed
+
     # Depth is elements opened minus elements closed; closing appends to a
     # list from C, which spares a Python call per element.
     closed: list[str] = []
@@ -501,6 +522,8 @@ def _read_xes(path):
                 in_trace = (names.get(name) or local(name)) == "trace"
                 if in_trace:
                     trace_at.append(opened)
+                    if not len(trace_at) & (len(trace_at) - 1):  # a power of two
+                        settle()
             elif depth == 1:
                 root.append(local(name))
             return
@@ -517,10 +540,10 @@ def _read_xes(path):
                 return
         record = keys.get(key)
         if record is None:
-            record = keys[key] = (array("q"), [], [], {})
+            record = keys[key] = (array("q"), [], [], {}.setdefault)
         record[0].append(opened)
         record[1].append(tag)
-        record[2].append(record[3].setdefault(value, value))
+        record[2].append(record[3](value, value))
 
     parser.StartElementHandler, parser.EndElementHandler = start, closed.append
     try:

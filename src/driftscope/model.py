@@ -24,6 +24,7 @@ objects from the columns on demand, case by case, and keep none of them.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
@@ -314,10 +315,11 @@ class EventTable:
     order), ``log.activities`` and ``log.resources``; -1 means no resource.
 
     * ``offset_us``: int64 offset from the log origin.
-    * ``prev``: row of the previous event of the same case, -1 for none.
+    * ``prev``: int32 row of the previous event of the same case, -1 for none.
     * ``service_s``: for a complete event, seconds since the nearest
       preceding still-open start of the same activity in the same case,
-      which that complete closes; NaN for every other event.
+      which that complete closes; NaN for every other event. Built on
+      first read, as only the service-time extractor reads it.
     * ``case_end``: the row is its case's last event; ``case_duration_s``
       holds each case's first-to-last span, indexed by case code.
     * :meth:`attr_column`: per attribute key, a presence mask and a float64
@@ -341,13 +343,13 @@ class EventTable:
         self.case = c.case
         self.activity = c.activity
         self.resource = c.resource
-        self.prev = np.arange(-1, n - 1)
+        self.prev = np.arange(-1, n - 1, dtype=np.int32)
         self.prev[first] = -1
         self.case_end = np.zeros(n, dtype=bool)
         self.case_end[last] = True
         self.case_duration_s = np.zeros(len(c.case_ids))
         self.case_duration_s[sizes > 0] = (self.offset_us[last] - self.offset_us[first]) / 1e6
-        self.service_s = self._service_seconds(c.lifecycle, len(c.activities))
+        self._columns = c
         self._attrs = {"event": c.event_attrs, "case": c.case_attrs}
 
     def attr_column(self, key: str, level: str) -> tuple[np.ndarray, np.ndarray]:
@@ -356,6 +358,10 @@ class EventTable:
         if attr.type == NUMBER:
             return attr.present, attr.values
         return attr.present, np.full(len(attr.present), np.nan)
+
+    @cached_property
+    def service_s(self) -> np.ndarray:
+        return self._service_seconds(self._columns.lifecycle, len(self._columns.activities))
 
     def _service_seconds(self, kind: np.ndarray, n_activities: int) -> np.ndarray:
         # Walk the start/complete rows grouped by (case, activity), in time
@@ -470,7 +476,7 @@ def sort_and_validate(log: EventLog) -> EventLog:
         )
     c = log.columns
     order = np.lexsort((c.time_us, c.case))
-    if np.any(order != np.arange(len(order))):
+    if (order[1:] < order[:-1]).any():  # a permutation with no descent is the identity
         c = replace(
             c, case=c.case[order], activity=c.activity[order], resource=c.resource[order],
             lifecycle=c.lifecycle[order], time_us=c.time_us[order],
@@ -505,18 +511,17 @@ def _sorted_codes(names: tuple, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
 class Coder:
     """Codes values into their distinct values, in first-appearance order, a
     block of values at a time. Between blocks it keeps only each distinct
-    value with its first row, and for each value added the number of that row."""
+    value with its first row, and for each value added the number of that
+    row, in one growing int32 buffer."""
 
     def __init__(self):
         self.first: dict = {}  # each value's first row, in first-appearance order
-        self._rows: list[np.ndarray] = []
-        self._n = 0
+        self._rows = array("i")
 
     def add(self, values: list) -> None:
         # each value's first row, in one C-level pass
-        self._rows.append(np.fromiter(map(self.first.setdefault, values, count(self._n)),
-                                      np.int64, len(values)))
-        self._n += len(values)
+        rows = map(self.first.setdefault, values, count(len(self._rows)))
+        self._rows.frombytes(np.fromiter(rows, np.int32, len(values)).view(np.uint8))
 
     def result(self, absent=None) -> tuple[tuple, np.ndarray]:
         """The distinct values and an int32 code per value added; ``absent`` is
@@ -529,9 +534,10 @@ class Coder:
             number[gone + 1:] -= 1
             number[gone] = -1
         # a value's code is its first row's rank; only first rows are looked up
-        rank = np.empty(self._n, np.int32)
+        rows = np.frombuffer(self._rows, np.int32)
+        rank = np.empty(len(rows), np.int32)
         rank[np.fromiter(self.first.values(), np.int64, len(number))] = number
-        return tuple(names), rank[np.concatenate(self._rows)]
+        return tuple(names), rank[rows]
 
 
 def coded(values: list) -> tuple[tuple, np.ndarray]:

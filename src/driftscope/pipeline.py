@@ -13,7 +13,9 @@ deterministic: identical data and configuration yield identical reports.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 from . import __version__
 from .causality import (
@@ -62,6 +64,9 @@ class FrameworkConfig:
         check_p_threshold(self.p_threshold)
         self.pelt_config("primary")
         self.pelt_config("secondary")
+        for f in fields(self):  # a numpy scalar is kept as the Python number JSON writes
+            if isinstance(value := getattr(self, f.name), np.generic):
+                setattr(self, f.name, value.item())
 
     def pelt_config(self, role: str) -> PeltConfig:
         """PELT settings of the ``primary`` or ``secondary`` series."""

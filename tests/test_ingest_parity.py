@@ -28,7 +28,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ingest_oracle as oracle
 from driftscope import ingest
-from driftscope.cli import main
+from driftscope.cli import GENERATOR_MAPPING, main
 from driftscope.errors import (
     EmptyValue,
     IngestionError,
@@ -43,9 +43,11 @@ from driftscope.ingest import (
     _parse_stamps,
     parse_csv,
     parse_xes,
+    write_csv,
     write_xes,
 )
 from driftscope.model import EventLog, LogColumns, sort_and_validate, to_us
+from driftscope.synthetic import GeneratorConfig, generate
 from ingest_oracle import parse_timestamp
 
 NEW_NOTES = ("skipped_container_attributes", "naive_timestamps_among_aware")
@@ -328,6 +330,24 @@ def test_xes_string_timestamp_fails_as_the_object_parser_fails(tmp_path):
     assert err.value.row == 2 and "not a date attribute" in str(err.value)
 
 
+def test_xes_texts_that_do_not_repeat_stop_interning_and_parse_the_same(tmp_path):
+    traces = "".join(
+        f'<trace><string key="concept:name" value="t{t}"/><string key="goal" value="g{t}"/>'
+        + "".join(f'<event><string key="concept:name" value="{a}"/>'
+                  f'<string key="EventID" value="e{t}-{a}"/>'
+                  f'<date key="time:timestamp" value="2021-06-{t + 1:02d}T0{i}:00:00"/></event>'
+                  for i, a in enumerate("abc"))
+        + "</trace>" for t in range(9))
+    path = tmp_path / "log.xes"
+    path.write_text(f"<log>{traces}</log>", encoding="utf-8")
+    *_, trace_keys, event_keys, _ = ingest._read_xes(path)
+    interned = {key: len(record[3].__self__) for key, record in event_keys.items()}
+    # EventID and the stamps stop at trace 4 with 9 texts each; "goal", once per trace, interns
+    assert interned == {"concept:name": 3, "EventID": 0, "time:timestamp": 0}
+    assert len(trace_keys["goal"][3].__self__) == 9
+    assert_same(path, parse_xes, oracle.parse_xes)
+
+
 # ------------------------------------------------------------------- fuzz
 
 def _fails_cleanly(parse, path) -> None:
@@ -530,6 +550,21 @@ def test_an_undecodable_last_row_is_named_without_reading_the_whole_file(
     assert "byte 0xff is not UTF-8" in str(err)
     assert peak < 3 * bad.stat().st_size, peak / bad.stat().st_size
 
+
+
+def test_the_event_table_of_a_parsed_log_holds_at_most_16_bytes_per_event(tmp_path):
+    path = tmp_path / "log.csv"
+    write_csv(generate(GeneratorConfig(seed=1)), GENERATOR_MAPPING, path)
+    log = parse_csv(path, GENERATOR_MAPPING)
+    tracemalloc.start()
+    try:
+        table = log.table
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert log.event_count == 26_000
+    assert held <= 16 * log.event_count, held / log.event_count
+    assert table.prev.dtype == np.int32
 
 
 @pytest.fixture(scope="module")

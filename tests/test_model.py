@@ -3,6 +3,7 @@
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,9 +17,11 @@ from driftscope.errors import (
 )
 from driftscope.model import (
     Case,
+    Coder,
     Event,
     EventLog,
     attribute_type,
+    coded,
     sort_and_validate,
 )
 
@@ -135,6 +138,42 @@ def test_object_route_reads_lifecycles_as_the_parsers_do():
     assert [e.lifecycle for e in log.cases["c"].events] == ["start", "complete", None]
     assert log.meta == {"case_attr_conflicts": 2, "ignored_lifecycle_transitions": 1}
     assert log.table.service_s[1] == 3600.0
+
+
+def test_service_seconds_are_built_on_first_read_as_computed_directly():
+    t = datetime(2021, 1, 1, 9)
+    log = EventLog()
+    steps = [("a", "start", 0), ("b", "start", 10), ("a", "complete", 30),
+             ("b", "complete", 60), ("a", "complete", 70)]
+    for case, shift in (("c1", 0), ("c2", 5)):
+        log.cases[case] = Case(case_id=case, events=[
+            Event(f"{case}e{i}", case, act, t + timedelta(minutes=minute + shift), lifecycle=kind)
+            for i, (act, kind, minute) in enumerate(steps)])
+    log = sort_and_validate(log)
+    table = log.table
+    assert "service_s" not in vars(table)
+    direct = table._service_seconds(log.columns.lifecycle, len(log.activities))
+    assert table.service_s.tobytes() == direct.tobytes()
+    assert np.isnan(direct).tolist() == [True, True, False, False, True] * 2
+    assert direct[~np.isnan(direct)].tolist() == [1800.0, 3000.0] * 2
+
+
+@given(st.lists(st.sampled_from(["a", "b", "", "c", None, "d"]), max_size=40),
+       st.lists(st.integers(0, 40), max_size=6), st.sampled_from([None, ""]))
+def test_coder_fed_in_blocks_codes_as_one_shot(values, cuts, absent):
+    bounds = [0, *sorted(min(c, len(values)) for c in cuts), len(values)]
+    coder = Coder()
+    for a, b in zip(bounds, bounds[1:]):
+        coder.add(values[a:b])
+    names, codes = coder.result(absent)
+    expected = list(dict.fromkeys(v for v in values if v != absent))
+    assert names == tuple(expected)
+    assert codes.dtype == np.int32
+    assert codes.tolist() == [-1 if v == absent else expected.index(v) for v in values]
+    if absent is None:
+        assert (names, codes.tolist()) == (coded(values)[0], coded(values)[1].tolist())
+    again = coder.result(absent)
+    assert again[0] == names and again[1].dtype == np.int32 and again[1].tolist() == codes.tolist()
 
 
 def test_object_route_adds_the_lifecycle_count_only_when_non_zero():

@@ -139,6 +139,20 @@ def test_hand_built_invalid_spec_fails_when_constructed(perspective, name, param
         ExtractorSpec(perspective, name, params)
 
 
+@pytest.mark.parametrize("field,number", [("min_segment_length", 2),
+                                          ("interval_seconds", 86400)])
+def test_config_given_numpy_numbers_writes_the_report_of_python_numbers(field, number):
+    log = generate(GeneratorConfig(days=30, drift_day=15))
+
+    def report(value):
+        cfg = FrameworkConfig(primary_specs=[parse_spec("control_flow:df")],
+                              secondary_specs=[parse_spec("data:agg(age,avg,set_avg)")],
+                              **{"interval_seconds": 86400, field: value})
+        return run(log, cfg).to_json()
+
+    assert report(np.int64(number)) == report(number)
+
+
 def test_config_to_dict_renders_specs():
     cfg = _drift_config()
     d = cfg.to_dict()
