@@ -202,7 +202,7 @@ def granger_test(effect, cause, lag: int) -> GrangerResult:
 
 def check_p_threshold(p_threshold: float) -> None:
     """Raise :class:`ConfigInvalid` unless the threshold is a number in [0, 1)."""
-    if not isinstance(p_threshold, Real):
+    if isinstance(p_threshold, bool) or not isinstance(p_threshold, Real):
         raise ConfigInvalid(f"p-value threshold must be a number, got {p_threshold!r}")
     if not 0.0 <= p_threshold < 1.0:
         raise ConfigInvalid(f"p-value threshold must lie in [0, 1), got {p_threshold}")

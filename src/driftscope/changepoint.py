@@ -52,7 +52,7 @@ class PeltConfig:
     beta_name: InitVar[str] = "beta"
 
     def __post_init__(self, beta_name: str):
-        if not isinstance(self.beta, Real):
+        if isinstance(self.beta, bool) or not isinstance(self.beta, Real):
             raise ConfigInvalid(f"{beta_name} must be a number, got {self.beta!r}")
         if not 0 <= self.beta < float("inf"):
             raise ConfigInvalid(f"{beta_name} must be finite and non-negative, got {self.beta}")

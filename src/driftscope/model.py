@@ -314,7 +314,6 @@ class EventTable:
     and ``resource`` are the log's int32 codes into ``log.cases`` (stored
     order), ``log.activities`` and ``log.resources``; -1 means no resource.
 
-    * ``offset_us``: int64 offset from the log origin.
     * ``prev``: int32 row of the previous event of the same case, -1 for none.
     * ``service_s``: for a complete event, seconds since the nearest
       preceding still-open start of the same activity in the same case,
@@ -327,8 +326,7 @@ class EventTable:
       attribute's column is all NaN: the only aggregation over it is
       ``count``, which reads the mask.
 
-    Durations are integer-microsecond differences divided by 1e6, which is
-    exactly ``timedelta.total_seconds()``.
+    Durations: ``log.columns.time_us`` differences over 1e6, exactly ``timedelta.total_seconds()``.
     """
 
     def __init__(self, log: EventLog):
@@ -339,7 +337,6 @@ class EventTable:
         last = (first + sizes - 1)[sizes > 0]
         first = first[sizes > 0]
 
-        self.offset_us = c.time_us - c.time_us.min() if n else c.time_us
         self.case = c.case
         self.activity = c.activity
         self.resource = c.resource
@@ -348,9 +345,14 @@ class EventTable:
         self.case_end = np.zeros(n, dtype=bool)
         self.case_end[last] = True
         self.case_duration_s = np.zeros(len(c.case_ids))
-        self.case_duration_s[sizes > 0] = (self.offset_us[last] - self.offset_us[first]) / 1e6
+        self.case_duration_s[sizes > 0] = (c.time_us[last] - c.time_us[first]) / 1e6
         self._columns = c
         self._attrs = {"event": c.event_attrs, "case": c.case_attrs}
+
+    @property
+    def offset_us(self) -> np.ndarray:
+        """Offsets from the log origin, computed when read; nothing in the package reads them."""
+        return self._columns.time_us - self._columns.time_us.min(initial=_US_MAX)
 
     def attr_column(self, key: str, level: str) -> tuple[np.ndarray, np.ndarray]:
         """Presence mask and float64 values of an ``"event"`` or ``"case"`` attribute."""
@@ -384,7 +386,7 @@ class EventTable:
                 starts.append(open_starts.pop())
                 completes.append(row)
         out = np.full(len(kind), np.nan)
-        out[completes] = (self.offset_us[completes] - self.offset_us[starts]) / 1e6
+        out[completes] = (self._columns.time_us[completes] - self._columns.time_us[starts]) / 1e6
         return out
 
 

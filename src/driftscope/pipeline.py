@@ -204,7 +204,7 @@ def run(log: EventLog, config: FrameworkConfig) -> AnalysisReport:
         "tool_version": __version__,
         "normalization": config.normalization,
         "dropped_tail_seconds": intervals.dropped_tail_us / 1e6,
-        "dropped_tail_events": int((intervals.bucket(log.table.offset_us) == n).sum()),
+        "dropped_tail_events": int((intervals.bucket(log.columns.time_us) == n).sum()),
         "catalog": {
             "activities": len(log.activities),
             "resources": len(log.resources),

@@ -1,18 +1,18 @@
 """Multivariate time-series construction from event logs.
 
-The log's span is divided into equal-length, contiguous, half-open intervals
-``[start, end)`` measured from the earliest event timestamp; a trailing
-remainder shorter than the duration is dropped. Feature extractors then map
-the events of each interval onto one or more numeric rows, so that a list of
-extractor specifications yields a feature matrix with one column per
+An interval sequence is equal-length, contiguous, half-open intervals
+``[start, end)`` from its origin; :func:`build_intervals` starts it at the
+earliest event and drops a trailing remainder shorter than the duration.
+Feature extractors map the events of each interval onto numeric rows, so a
+list of extractor specifications yields a feature matrix with one column per
 interval and a fixed, deterministically ordered set of labelled rows.
 
 Extraction reads the log's event table (:class:`~driftscope.model.EventTable`),
-which every matrix built from one log shares. Each event's interval is
-``offset_us // duration_us``, in integer microseconds, so membership never
-depends on floating-point rounding. Events at or past the last full interval
-lie in the dropped tail and count nowhere. Extractors come in four
-perspectives:
+which every matrix built from one log shares. An event's interval is its
+offset from the sequence's origin floor-divided by the duration, in integer
+microseconds, so membership never depends on floating-point rounding. Events
+before the origin or past the last interval (the dropped tail) count nowhere.
+Extractors come in four perspectives:
 
 * ``control_flow``: directly-follows counts over the activity alphabet,
   causal/parallel indicators and dependency scores derived from them, and
@@ -50,7 +50,7 @@ from statistics import fmean
 import numpy as np
 
 from .errors import ConfigInvalid, NoExtractableFeatures, SpanTooShort, TypeMismatch
-from .model import NUMBER, EventLog
+from .model import NUMBER, EventLog, to_us
 
 US_PER_SECOND = 1_000_000
 
@@ -61,7 +61,7 @@ AGGREGATORS = ("min", "max", "sum", "avg", "count", "set_avg")
 
 @dataclass(frozen=True)
 class TimeInterval:
-    """Half-open interval ``[start, end)`` of offsets from the log origin."""
+    """Half-open interval ``[start, end)`` of offsets from the sequence's origin."""
 
     start_us: int
     end_us: int
@@ -76,8 +76,8 @@ class TimeInterval:
         """Interval end in seconds."""
         return self.end_us / US_PER_SECOND
 
-    def contains_us(self, offset_us: int) -> bool:
-        return self.start_us <= offset_us < self.end_us
+    def contains_us(self, at_us: int) -> bool:
+        return self.start_us <= at_us < self.end_us
 
 
 @dataclass(frozen=True)
@@ -109,13 +109,15 @@ class IntervalSequence:
     def duration_seconds(self) -> float:
         return self.duration_us / US_PER_SECOND
 
-    def bucket(self, offset_us):
-        """Interval index of each offset (scalar or array); ``count`` for the dropped tail."""
-        return np.minimum(offset_us // self.duration_us, self.count)
+    def bucket(self, time_us: np.ndarray) -> np.ndarray:
+        """Interval of each stamp (int64 us since EPOCH), ``count`` outside the sequence."""
+        out = (time_us - to_us(self.origin)) // self.duration_us  # numpy reuses the difference
+        out[(out < 0) | (out > self.count)] = self.count
+        return out
 
     def index_of_us(self, offset_us: int) -> int | None:
-        """0-based interval index containing the offset, or None outside."""
-        idx = int(self.bucket(offset_us))
+        """0-based interval index containing the offset from the origin, or None outside."""
+        idx = int(offset_us) // self.duration_us
         return idx if 0 <= idx < self.count else None
 
     def start_datetime(self, index0: int) -> datetime:
@@ -136,7 +138,7 @@ class IntervalSequence:
 def duration_to_us(duration_seconds: float) -> int:
     """The duration in whole microseconds; ConfigInvalid unless it is a positive real number
     whose microseconds fit int64. A numpy scalar is read as a Python number, so it cannot wrap."""
-    if not isinstance(duration_seconds, Real):
+    if isinstance(duration_seconds, bool) or not isinstance(duration_seconds, Real):
         raise ConfigInvalid(f"interval duration must be a number, got {duration_seconds!r}")
     dur_us = (int if isinstance(duration_seconds, Integral) else float)(duration_seconds)
     dur_us *= US_PER_SECOND
@@ -319,7 +321,7 @@ class _Grid:
         self.log = log
         self.table = log.table
         self.n = len(intervals)
-        self.bucket = intervals.bucket(self.table.offset_us)
+        self.bucket = intervals.bucket(log.columns.time_us)
         self.warnings: list[str] = []
 
     @cached_property
@@ -411,9 +413,9 @@ def _service_time(g: _Grid, params: dict):
 
 
 def _sojourn(g: _Grid, params: dict):
-    t = g.table
-    rows = np.flatnonzero(t.prev >= 0)
-    waits = (t.offset_us[rows] - t.offset_us[t.prev[rows]]) / 1e6
+    prev, time_us = g.table.prev, g.log.columns.time_us
+    rows = np.flatnonzero(prev >= 0)
+    waits = (time_us[rows] - time_us[prev[rows]]) / 1e6
     return list(g.log.activities), g.per_activity(rows, waits)
 
 

@@ -567,6 +567,19 @@ def test_the_event_table_of_a_parsed_log_holds_at_most_16_bytes_per_event(tmp_pa
     assert table.prev.dtype == np.int32
 
 
+def test_the_event_table_stores_no_stamps_and_holds_at_most_8_bytes_per_event():
+    log = generate(GeneratorConfig(seed=1))
+    tracemalloc.start()
+    try:
+        table = log.table
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert log.event_count == 26_000
+    assert held <= 8 * log.event_count, held / log.event_count
+    assert "offset_us" not in vars(table)
+
+
 @pytest.fixture(scope="module")
 def generated_xes(generated_csv):
     """The generated log of 52,000 events, written by ``write_xes``."""

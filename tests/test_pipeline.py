@@ -112,6 +112,10 @@ def test_config_rejects_bad_pelt_settings_when_constructed(kwargs, field):
         ({"p_threshold": "0.05"}, "p-value threshold"),
         ({"min_segment_length": 2.0}, "minimum segment length"),
         ({"min_segment_length": np.float64(2.5)}, "minimum segment length"),
+        ({"interval_seconds": True}, "interval duration"),  # used to run 1-second intervals
+        ({"beta_primary": True}, "beta_primary"),
+        ({"beta_secondary": False}, "beta_secondary"),
+        ({"p_threshold": False}, "p-value threshold"),
     ],
 )
 def test_config_refuses_values_of_the_wrong_type_when_constructed(kwargs, field):

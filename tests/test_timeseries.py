@@ -18,6 +18,7 @@ from driftscope.errors import (
     SpanTooShort,
     TypeMismatch,
 )
+from driftscope.synthetic import GeneratorConfig, generate
 from driftscope.timeseries import (
     AGGREGATORS,
     US_PER_SECOND,
@@ -123,6 +124,28 @@ def test_index_of_us_matches_containment():
     assert seq.index_of_us(60_000_000) == 1
     assert seq.index_of_us(180_000_000) is None
     assert seq.index_of_us(-1) is None
+
+
+def test_a_hand_built_sequence_places_events_against_its_own_origin():
+    # 4 days of 3 cases a day; with 1-day intervals from the first stamp the
+    # event counts are [3, 15, 15, 15]. A sequence that starts a day later or
+    # a day earlier must see the same days, and nothing before the first event.
+    log = generate(GeneratorConfig(days=4, cases_per_day=3, drift_day=2))
+    specs = [parse_spec(s) for s in ("data:event_count", "data:case_count", "control_flow:df",
+                                     "performance:sojourn", "performance:case_duration")]
+    full = build_intervals(log, 86400)
+    assert full.origin == log.origin and full.count == 4
+
+    def series(days: int, count: int) -> np.ndarray:
+        seq = IntervalSequence(full.origin + timedelta(days=days), full.duration_us, count)
+        return build_time_series(log, seq, specs).values
+
+    want = series(0, 4)
+    assert want[0].tolist() == [3.0, 15.0, 15.0, 15.0]
+    assert series(1, 3)[0].tolist() == [15.0, 15.0, 15.0]
+    assert series(-1, 5)[0].tolist() == [0.0, 3.0, 15.0, 15.0, 15.0]
+    assert series(1, 3).tobytes() == want[:, 1:].tobytes()
+    assert series(-1, 5).tobytes() == np.hstack([np.zeros((len(want), 1)), want]).tobytes()
 
 
 def test_select_events_window(claims_log):
