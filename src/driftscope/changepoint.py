@@ -31,7 +31,13 @@ import numpy as np
 from .errors import ConfigInvalid, SpanTooShort
 from .timeseries import TimeInterval, TimeSeriesMatrix
 
-NORMALIZATIONS = ("max_abs", "zscore", "none")
+#: Each mode's centre and scale of every row of a float matrix.
+_SCALINGS = {
+    "max_abs": lambda v: (0.0, np.abs(v).max(axis=1, keepdims=True)),
+    "zscore": lambda v: (v.mean(axis=1, keepdims=True), v.std(axis=1, keepdims=True)),
+    "none": lambda v: (0.0, 1.0),
+}
+NORMALIZATIONS = tuple(_SCALINGS)
 
 
 def _check_normalization(mode: str) -> None:
@@ -99,27 +105,18 @@ class ChangePointSet:
 
 
 def normalize(matrix: TimeSeriesMatrix, mode: str = "max_abs") -> TimeSeriesMatrix:
-    """Return a row-rescaled copy of the matrix.
+    """Return a copy of the matrix whose rows are ``(row - centre) / scale``.
 
-    ``max_abs`` leaves all-zero rows untouched; ``zscore`` maps
-    zero-variance rows to all zeros so they cannot attract change points.
-    Either way such a row is zero throughout, and :class:`SegmentCost` skips it.
+    A row whose scale is 0 becomes all zeros: under ``max_abs`` it is zero
+    already, and under ``zscore`` a constant row cannot attract change points.
+    Either way :class:`SegmentCost` skips it.
     """
     _check_normalization(mode)
-    values = np.array(matrix.values, dtype=float, copy=True)
-    if mode == "max_abs":
-        scale = np.abs(values).max(axis=1)
-        nonzero = scale > 0
-        values[nonzero] /= scale[nonzero, None]
-    elif mode == "zscore":
-        mean = values.mean(axis=1, keepdims=True)
-        std = values.std(axis=1)
-        centered = values - mean
-        out = np.zeros_like(values)
-        nonzero = std > 0
-        out[nonzero] = centered[nonzero] / std[nonzero, None]
-        values = out
-    return _replace(matrix, values=values)
+    values = np.asarray(matrix.values, dtype=float)
+    centre, scale = _SCALINGS[mode](values)
+    out = np.zeros_like(values)
+    np.divide(values - centre, scale, out=out, where=scale > 0)
+    return _replace(matrix, values=out)
 
 
 class SegmentCost:

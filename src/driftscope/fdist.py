@@ -67,6 +67,4 @@ def f_sf(f: float, d1: float, d2: float) -> float:
         raise ValueError("degrees of freedom must be positive")
     if f <= 0.0:
         return 1.0
-    if f == float("inf"):
-        return 0.0
     return betainc_reg(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * f))

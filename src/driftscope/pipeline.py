@@ -49,12 +49,13 @@ class FrameworkConfig:
     min_segment_length: int = PeltConfig.min_segment_length
 
     def __post_init__(self):
-        self.primary_specs = list(self.primary_specs)
-        self.secondary_specs = list(self.secondary_specs)
-        if not self.primary_specs or not self.secondary_specs:
-            raise ConfigInvalid("primary and secondary extractor lists must be non-empty")
-        for role, specs in (("primary", self.primary_specs),
-                            ("secondary", self.secondary_specs)):
+        for role in ("primary", "secondary"):
+            specs = getattr(self, f"{role}_specs")
+            if not (isinstance(specs, (list, tuple)) and specs
+                    and all(isinstance(s, ExtractorSpec) for s in specs)):
+                raise ConfigInvalid(f"{role} extractors must be a non-empty list of specs, "
+                                    f"got {specs!r}")
+            setattr(self, f"{role}_specs", list(specs))
             perspectives = {s.perspective for s in specs}
             if len(perspectives) != 1:
                 raise ConfigInvalid(
@@ -73,22 +74,14 @@ class FrameworkConfig:
         return PeltConfig(getattr(self, f"beta_{role}"), self.min_segment_length,
                           self.normalization, f"beta_{role}")
 
-    @property
-    def primary_perspective(self) -> str:
-        return self.primary_specs[0].perspective
-
-    @property
-    def secondary_perspective(self) -> str:
-        return self.secondary_specs[0].perspective
-
     def to_dict(self) -> dict:
         return {
             "primary": {
-                "perspective": self.primary_perspective,
+                "perspective": self.primary_specs[0].perspective,
                 "specs": [render_spec(s) for s in self.primary_specs],
             },
             "secondary": {
-                "perspective": self.secondary_perspective,
+                "perspective": self.secondary_specs[0].perspective,
                 "specs": [render_spec(s) for s in self.secondary_specs],
             },
             "interval_seconds": self.interval_seconds,

@@ -19,9 +19,9 @@ identifiers included.
 Stamps are built in integer microseconds, with no ``datetime`` per event: each
 case's register hour and four gaps become microseconds exactly as
 ``timedelta(hours=h)`` rounds them, and are summed in int64 onto its day's
-start (an aware ``start`` steps in absolute time). The random draws, and so
-the written files, are the same for every seed as those of the earlier
-generator that added ``timedelta``s to ``datetime``s.
+start (an aware ``start`` steps in absolute time). The random draws and the
+written files must not change for any seed: the tests and CI pin the written
+files by hash.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import random
 from dataclasses import dataclass
 from datetime import datetime
 from itertools import cycle, islice
+from numbers import Real
 
 import numpy as np
 
@@ -68,6 +69,12 @@ class GeneratorConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigInvalid(f"{name} must be an int, got {value!r}")
+        for name in ("pre_age_mean", "post_age_mean", "age_stddev", "email_max_age",
+                     "phone_max_age", "pay_probability"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, Real)
+                    or not abs(value) < float("inf")):
+                raise ConfigInvalid(f"{name} must be a finite number, got {value!r}")
         if self.days < 1 or self.cases_per_day < 1:
             raise ConfigInvalid("days and cases_per_day must be at least 1")
         if not 1 <= self.drift_day <= self.days:

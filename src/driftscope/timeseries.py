@@ -86,13 +86,20 @@ class IntervalSequence:
 
     The :class:`TimeInterval` objects are built on the first read of
     :attr:`intervals` (or iteration). ``dropped_tail_us`` is the part of the
-    log span after the last interval.
+    log span after the last interval. ConfigInvalid unless ``duration_us`` is
+    an integer of at least 1 and the other two integers of at least 0.
     """
 
     origin: datetime
     duration_us: int
     count: int
     dropped_tail_us: int = 0
+
+    def __post_init__(self):
+        for name, least in (("duration_us", 1), ("count", 0), ("dropped_tail_us", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+                raise ConfigInvalid(f"{name} must be an integer of at least {least}, got {value!r}")
 
     def __len__(self) -> int:
         return self.count

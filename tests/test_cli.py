@@ -90,6 +90,14 @@ def test_generate_validates_config(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--pre-age-mean", "--age-stddev"])
+def test_generate_refuses_a_setting_that_is_not_finite(tmp_path, capsys, flag):
+    rc = main(["generate", flag, "nan", "--out-csv", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert f"{flag[2:].replace('-', '_')} must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_csv_input_requires_mapping(tmp_path, capsys):
     log_path = tmp_path / "log.csv"
     log_path.write_text(CLAIMS_CSV, encoding="utf-8")
@@ -239,6 +247,17 @@ def test_unusable_mapping_file_is_usage_error(tmp_path, capsys, content):
     rc = _detect(tmp_path, "--interval", "1d", "--spec", "control_flow:df", mapping=mapping)
     assert rc == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_mapping_file_without_a_timestamp_column_is_usage_error(tmp_path, capsys):
+    log_path, _ = _generate_small(tmp_path)
+    mapping = tmp_path / "partial.json"
+    mapping.write_text('{"case_id_col": "case_id", "activity_col": "activity"}', encoding="utf-8")
+    rc = main(["analyze", "--log", str(log_path), "--mapping", str(mapping), "--interval", "1d",
+               "--primary", "control_flow:df", "--secondary", "data:event_count",
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert "timestamp_col" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("beta", ["nan", "inf", "-1"])

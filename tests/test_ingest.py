@@ -244,6 +244,8 @@ def test_mapping_requires_distinct_mandatory_columns():
         CsvMapping(case_id_col="x", activity_col="x", timestamp_col="ts")
     with pytest.raises(ConfigInvalid):
         CsvMapping(case_id_col="a", activity_col="b", timestamp_col="c", delimiter=";;")
+    with pytest.raises(ConfigInvalid, match="are all required"):
+        CsvMapping(case_id_col="a", activity_col="b", timestamp_col="")
 
 
 def test_mapping_json_roundtrip(tmp_path):

@@ -116,6 +116,8 @@ def test_config_rejects_bad_pelt_settings_when_constructed(kwargs, field):
         ({"beta_primary": True}, "beta_primary"),
         ({"beta_secondary": False}, "beta_secondary"),
         ({"p_threshold": False}, "p-value threshold"),
+        ({"primary_specs": ["control_flow:df"]}, "primary"),  # a spec's text, not the spec
+        ({"primary_specs": parse_spec("control_flow:df")}, "primary"),  # not in a list
     ],
 )
 def test_config_refuses_values_of_the_wrong_type_when_constructed(kwargs, field):

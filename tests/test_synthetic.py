@@ -190,6 +190,15 @@ def test_always_pay_and_never_pay():
         {"seed": False},
         {"start": datetime(9999, 12, 1), "days": 60, "cases_per_day": 1, "drift_day": 1},
         {"start": datetime(1, 1, 1, tzinfo=timezone(timedelta(hours=1)))},
+        {"pre_age_mean": math.nan},
+        {"post_age_mean": math.inf},
+        {"pre_age_mean": None},
+        {"age_stddev": math.nan},  # used to write a log of clamped mean ages
+        {"age_stddev": "10"},
+        {"email_max_age": True},
+        {"phone_max_age": math.inf},
+        {"pay_probability": True},
+        {"pay_probability": "0.5"},
     ],
 )
 def test_config_validation(kwargs):

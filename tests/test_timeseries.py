@@ -77,6 +77,29 @@ def test_build_intervals_span_too_short():
     assert len(seq) == 1
 
 
+def test_a_log_without_events_has_no_intervals_and_no_origin():
+    log = build_log([])
+    with pytest.raises(SpanTooShort, match="log contains no events"):
+        build_intervals(log, 3600)
+    with pytest.raises(ValueError):
+        log.origin
+
+
+@pytest.mark.parametrize("duration_us,count,dropped_tail_us", [
+    (0, 3, 0),  # used to divide by zero while bucketing
+    (-3_600_000_000, 3, 0),  # used to give all-zero series
+    (3.6e9, 3, 0),
+    (True, 3, 0),
+    (3_600_000_000, -2, 0),
+    (3_600_000_000, 3.0, 0),
+    (3_600_000_000, 3, -1),
+    (3_600_000_000, 3, 0.5),
+])
+def test_a_hand_built_sequence_refuses_unusable_sizes(duration_us, count, dropped_tail_us):
+    with pytest.raises(ConfigInvalid):
+        IntervalSequence(BASE, duration_us, count, dropped_tail_us)
+
+
 def test_build_intervals_rejects_bad_duration():
     log = build_log([("c", "a", _at(0)), ("c", "b", _at(240))])
     with pytest.raises(ConfigInvalid):
