@@ -9,13 +9,12 @@ codes every column it keeps, attribute columns too, through a
 :class:`~driftscope.model.Coder`, so between blocks it holds only one int32
 first-row buffer per coded column and the stamps in one int64 buffer. A CSV
 costs its finished columns plus about one block of Python strings, and peaks
-at 1.6 to 2 times the file's size. A
-:class:`CsvMapping` names the columns holding the mandatory fields (case id,
-activity, timestamp) plus any optional ones, and may carry a ``strftime``
-pattern for non-ISO timestamps. Attribute columns are typed by inference
-over the whole file, each distinct text once: a column where every non-empty
-value parses as a boolean/number/timestamp gets that type, otherwise it stays
-text.
+at 1.6 to 2 times the file's size. A :class:`CsvMapping` names the columns
+holding the mandatory fields (case id, activity, timestamp) plus any optional
+ones, and may carry a ``strftime`` pattern for non-ISO timestamps. Attribute
+columns are typed by inference over the whole file, each distinct text once:
+a column where every non-empty value parses as a boolean/number/timestamp
+gets that type, otherwise it stays text. The delimiter may not be CR or LF.
 
 ISO-8601 stamps of the shapes in ``_iso_bytes``, naive or ending in ``Z`` or
 ``±hh:mm``, are parsed in one numpy call; every other stamp goes one by one
@@ -37,10 +36,13 @@ interned unless they do not repeat, and it types one key at a time, freeing
 each key's record before the next, so a document peaks at about twice its
 size.
 
-Both writers, :func:`write_csv` and :func:`write_xes`, format every stamp
-they emit, attribute stamps too, through one numpy call in :func:`_isoformat`,
-which gives ``datetime.isoformat`` of each; only a CSV mapping's ``strftime``
-pattern goes one stamp at a time.
+Both writers format every stamp, attribute stamps too, in one numpy call
+(:func:`_isoformat`, ``datetime.isoformat`` of each); only a CSV mapping's
+``strftime`` pattern goes one stamp at a time. :func:`write_csv` quotes each
+catalog's names once and decodes the quoted names per event; in a column of
+stamps or event attributes it quotes only the cells, if any, that hold the
+delimiter, ``"``, CR or LF, as ``csv``'s QUOTE_MINIMAL does, and it writes
+the header and every row, joined by ``\\r\\n``, in one string.
 
 ``log.meta`` counts what ingest drops or reads with a caveat, each key only
 when non-zero: ``ignored_lifecycle_transitions``, ``case_attr_conflicts``
@@ -57,11 +59,11 @@ import json
 import math
 from array import array
 from collections import deque
-from itertools import islice
+from itertools import chain, islice
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, fields
 from datetime import datetime
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 from xml.parsers import expat
 
@@ -92,6 +94,7 @@ from .model import (
     EventLog,
     coded,
     columnar_log,
+    csv_quoted,
     decode,
     from_us,
     sort_and_validate,
@@ -135,8 +138,8 @@ class CsvMapping:
             raise ConfigInvalid("case id, activity and timestamp columns are all required")
         if len(set(mandatory)) != 3:
             raise ConfigInvalid("case id, activity and timestamp columns must be distinct")
-        if len(self.delimiter) != 1:
-            raise ConfigInvalid("delimiter must be a single character")
+        if len(self.delimiter) != 1 or self.delimiter in "\r\n":
+            raise ConfigInvalid("delimiter must be a single character other than CR or LF")
 
     def columns(self) -> list[str]:
         """All referenced column names, mandatory first."""
@@ -420,36 +423,39 @@ def parse_csv(path: str | Path, mapping: CsvMapping) -> EventLog:
 def write_csv(log: EventLog, mapping: CsvMapping, path: str | Path) -> None:
     """Export a log to a delimited file laid out per ``mapping``."""
     c = log.columns
-    fmt = mapping.timestamp_format
+    fmt, quote = mapping.timestamp_format, partial(csv_quoted, delimiter=mapping.delimiter)
     stamps = (_isoformat(c.time_us) if fmt is None
               else [ts.strftime(fmt) for ts in c.time_us.astype("datetime64[us]").tolist()])
-    out = [decode(c.case_ids, c.case), decode(c.activities, c.activity), stamps]
+    out = [decode(quote(c.case_ids), c.case), decode(quote(c.activities), c.activity),
+           quote(stamps)]
     if mapping.resource_col:
-        out.append(decode((*c.resources, ""), c.resource))
+        out.append(decode(quote((*c.resources, "")), c.resource))
     if mapping.lifecycle_col:
-        out.append(decode(("", *LIFECYCLES[1:]), c.lifecycle))
-    out += [_formatted(c.event_attrs.get(col), len(c.case)) for col in mapping.event_attr_cols]
-    out += [decode(_formatted(c.case_attrs.get(col), len(c.case_ids)), c.case)
+        out.append(decode(quote(("", *LIFECYCLES[1:])), c.lifecycle))
+    out += [quote(_formatted(c.event_attrs.get(col), len(c.case)))
+            for col in mapping.event_attr_cols]
+    out += [decode(quote(_formatted(c.case_attrs.get(col), len(c.case_ids))), c.case)
             for col in mapping.case_attr_cols]
+    rows = chain([quote(mapping.columns())], zip(*out))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=mapping.delimiter)
-        writer.writerow(mapping.columns())
-        writer.writerows(zip(*out))
+        fh.write("\r\n".join(map(mapping.delimiter.join, rows)) + "\r\n")
 
 
-def _formatted(attr: Attribute | None, n: int) -> list[str | None]:
-    """Cell texts, None where absent: ``repr`` of numbers, ISO stamps, lower-case booleans."""
+def _formatted(attr: Attribute | None, n: int, absent: str | None = "") -> list[str | None]:
+    """Cell texts, ``absent`` where absent: ``repr`` of numbers, ISO stamps, lower-case booleans."""
     if attr is None:
-        return [None] * n
+        return [absent] * n
     fmt = {NUMBER: repr, BOOLEAN: lambda v: "true" if v else "false"}.get(attr.type, str)
     values = _isoformat(attr.values.view("i8")) if attr.type == TIMESTAMP else attr.values.tolist()
-    return [fmt(v) if p else None for v, p in zip(values, attr.present.tolist())]
+    return [fmt(v) if p else absent for v, p in zip(values, attr.present.tolist())]
 
 
 def _isoformat(us: np.ndarray) -> list[str]:
     """``datetime.isoformat`` of each int64 stamp, which leaves out a zero fraction."""
     text = np.datetime_as_string(us.astype("datetime64[us]"))
-    return np.where(us % 1_000_000 == 0, text.astype("U19"), text).tolist()
+    whole = us % 1_000_000 == 0
+    text[whole] = text[whole].astype("U19")
+    return text.tolist()
 
 
 _XES_TYPES = {"string": TEXT, "date": TIMESTAMP, "int": NUMBER, "float": NUMBER,
@@ -719,7 +725,7 @@ def write_xes(log: EventLog, path: str | Path) -> None:
 
 
 def _tagged(attrs: dict[str, Attribute], n: int) -> list[tuple[str, str, list]]:
-    return [(key, _XES_TAGS[attr.type], _formatted(attr, n)) for key, attr in attrs.items()]
+    return [(key, _XES_TAGS[attr.type], _formatted(attr, n, None)) for key, attr in attrs.items()]
 
 
 def _element(parent: ET.Element, tag: str, columns: list, i: int) -> ET.Element:

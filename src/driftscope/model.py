@@ -296,6 +296,15 @@ def decode(names, codes: np.ndarray) -> list:
     return list(map(names.__getitem__, codes.tolist()))
 
 
+def csv_quoted(texts, delimiter: str = ","):
+    """``texts`` as ``csv``'s QUOTE_MINIMAL writes them (see :mod:`~driftscope.ingest`)."""
+    special = (delimiter, '"', "\r", "\n")
+    if not any(map("".join(texts).__contains__, special)):
+        return texts
+    return ['"' + t.replace('"', '""') + '"' if any(map(t.__contains__, special)) else t
+            for t in texts]
+
+
 def _attr_dicts(attrs: dict[str, Attribute], a: int, b: int) -> list[dict]:
     """The attribute dicts of entries ``a`` to ``b`` (events or cases)."""
     out: list[dict] = [{} for _ in range(b - a)]

@@ -29,7 +29,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from datetime import datetime
-from itertools import cycle, islice
 from numbers import Real
 
 import numpy as np
@@ -87,8 +86,11 @@ class GeneratorConfig:
             raise ConfigInvalid("need 0 < email_max_age <= phone_max_age")
         if not 0.0 <= self.pay_probability <= 1.0:
             raise ConfigInvalid("pay_probability must lie in [0, 1]")
-        if not self.resource_pool:
-            raise ConfigInvalid("resource pool must not be empty")
+        if not (isinstance(self.resource_pool, (list, tuple)) and self.resource_pool
+                and all(isinstance(name, str) and name for name in self.resource_pool)):
+            raise ConfigInvalid(f"resource_pool needs non-empty names, got {self.resource_pool!r}")
+        if not isinstance(self.start, datetime):
+            raise ConfigInvalid(f"start must be a datetime, got {self.start!r}")
         try:
             start_us = to_us(self.start)
         except OverflowError:  # an aware start whose UTC instant datetime cannot hold
@@ -98,9 +100,9 @@ class GeneratorConfig:
             raise ConfigInvalid(f"{self.days} days from {self.start} run past {datetime.max}")
 
 
-def _truncated_age(rng: random.Random, mean: float, stddev: float) -> float:
+def _truncated_age(gauss, mean: float, stddev: float) -> float:
     for _ in range(100):
-        value = rng.gauss(mean, stddev)
+        value = gauss(mean, stddev)
         if _AGE_LO <= value <= _AGE_HI:
             return float(round(value))
     return float(round(min(max(mean, _AGE_LO), _AGE_HI)))
@@ -113,46 +115,46 @@ def _hours_to_us(hours: np.ndarray) -> np.ndarray:
 
 
 def available_channels(age: float, config: GeneratorConfig) -> list[str]:
-    """Notification channels offered to a customer of the given age."""
-    channels = ["notify_post"]
-    if age < config.phone_max_age:
-        channels.append("notify_phone")
-    if age < config.email_max_age:
-        channels.append("notify_email")
-    return channels
+    """Notification channels offered to a customer of the given age: postal mail always,
+    phone below ``phone_max_age`` and email below ``email_max_age``, which is no larger."""
+    return list(CHANNELS[:1 + (age < config.phone_max_age) + (age < config.email_max_age)])
 
 
 def generate(config: GeneratorConfig) -> EventLog:
     """Generate and validate a synthetic claim handling log."""
     rng = random.Random(config.seed)
-    case_ids: list[str] = []
+    # rng.uniform(a, b) is a + (b - a) * random_(), and rng.choice(available_channels(age,
+    # config)) is CHANNELS[randbelow(k)], the channels on offer being the first k of CHANNELS
+    random_, gauss, randbelow = rng.random, rng.gauss, rng._randbelow
+    phone, email = config.phone_max_age, config.email_max_age
     activity: list[str] = []
     hours: list[float] = []
     ages: list[float] = []
     for day in range(1, config.days + 1):
         age_mean = config.pre_age_mean if day < config.drift_day else config.post_age_mean
         for case_no in range(1, config.cases_per_day + 1):
-            case_ids.append(f"c{day:04d}_{case_no:03d}")
-
             # The very first register event anchors the interval grid at exactly
             # 08:00, so every timing window below (the hours to notify, submit,
             # decide and close) stays inside a single one-day interval from it.
-            hours.append(8.0 if day == 1 and case_no == 1 else rng.uniform(8.0, 10.0))
-            age = _truncated_age(rng, age_mean, config.age_stddev)
+            hours.append(8.0 if day == 1 and case_no == 1 else 8.0 + 2.0 * random_())
+            age = _truncated_age(gauss, age_mean, config.age_stddev)
             ages.append(age)
-            channel = rng.choice(available_channels(age, config))
-            hours += (rng.uniform(24.0, 36.0), rng.uniform(1.0, 2.0), rng.uniform(1.0, 2.0))
-            outcome = ACTIVITY_PAY if rng.random() < config.pay_probability else ACTIVITY_REJECT
-            hours.append(rng.uniform(0.5, 1.0))
+            channel = CHANNELS[randbelow(1 + (age < phone) + (age < email))]
+            hours += (24.0 + 12.0 * random_(), 1.0 + random_(), 1.0 + random_())
+            outcome = ACTIVITY_PAY if random_() < config.pay_probability else ACTIVITY_REJECT
+            hours.append(0.5 + 0.5 * random_())
             activity += (ACTIVITY_REGISTER, channel, ACTIVITY_SUBMIT, ACTIVITY_DECIDE, outcome)
 
+    case_ids = [f"c{day:04d}_{case_no:03d}" for day in range(1, config.days + 1)
+                for case_no in range(1, config.cases_per_day + 1)]
     steps = _hours_to_us(np.array(hours)).reshape(-1, 5)
     steps[:, 0] += to_us(config.start) + np.repeat(
         np.arange(config.days, dtype=np.int64) * 86_400_000_000, config.cases_per_day)
     # five events per case, the age on each register event, resources in turn
-    n = len(hours)
+    n, pool = len(hours), config.resource_pool
+    names, codes = coded(pool[:n])  # a pool longer than the log names only the resources used
     return sort_and_validate(columnar_log(
         (case_ids, np.repeat(np.arange(len(case_ids), dtype=np.int32), 5)), coded(activity),
-        coded(list(islice(cycle(config.resource_pool), n))), None, steps.cumsum(axis=1).ravel(),
+        (names, codes[np.arange(n) % len(pool)]), None, steps.cumsum(axis=1).ravel(),
         {"age": (np.arange(0, n, 5), NUMBER, ages)}, {}, {},
     ))

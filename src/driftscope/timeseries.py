@@ -39,7 +39,6 @@ order, so every figure is the same whatever the grouping machinery.
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
@@ -50,7 +49,7 @@ from statistics import fmean
 import numpy as np
 
 from .errors import ConfigInvalid, NoExtractableFeatures, SpanTooShort, TypeMismatch
-from .model import NUMBER, EventLog, to_us
+from .model import NUMBER, EventLog, csv_quoted, to_us
 
 US_PER_SECOND = 1_000_000
 
@@ -86,8 +85,8 @@ class IntervalSequence:
 
     The :class:`TimeInterval` objects are built on the first read of
     :attr:`intervals` (or iteration). ``dropped_tail_us`` is the part of the
-    log span after the last interval. ConfigInvalid unless ``duration_us`` is
-    an integer of at least 1 and the other two integers of at least 0.
+    log span after the last interval. ConfigInvalid unless ``origin`` is a datetime,
+    ``duration_us`` an integer of at least 1 and the others integers of at least 0.
     """
 
     origin: datetime
@@ -96,6 +95,8 @@ class IntervalSequence:
     dropped_tail_us: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.origin, datetime):
+            raise ConfigInvalid(f"origin must be a datetime, got {self.origin!r}")
         for name, least in (("duration_us", 1), ("count", 0), ("dropped_tail_us", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
@@ -594,12 +595,9 @@ def build_time_series(
 
 def write_series_csv(matrix: TimeSeriesMatrix, path) -> None:
     """Write the matrix transposed: one row per interval, one column per feature."""
+    seq = matrix.intervals
+    iso = [seq.start_datetime(j).isoformat() for j in range(len(seq) + 1)]
+    rows = [["interval_start", "interval_end", *csv_quoted(matrix.label_strings())]]
+    rows += ([*iso[j:j + 2], *map(repr, map(float, matrix.values[:, j]))] for j in range(len(seq)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["interval_start", "interval_end"] + matrix.label_strings())
-        seq = matrix.intervals
-        for j in range(len(seq)):
-            writer.writerow(
-                [seq.start_datetime(j).isoformat(), seq.start_datetime(j + 1).isoformat()]
-                + [repr(float(v)) for v in matrix.values[:, j]]
-            )
+        fh.write("".join(",".join(row) + "\r\n" for row in rows))

@@ -7,7 +7,9 @@ the parity properties in ``test_ingest_parity.py``: they build one
 event by event. ``Case`` and ``Event`` are the package's own, so the two
 object views compare field by field. ``unreadable_row`` is the whole-file
 reading of the first record that is not UTF-8 or that ``csv`` cannot split,
-the oracle for the streamed ``RowUnreadable``.
+the oracle for the streamed ``RowUnreadable``. ``write_csv`` is the CSV
+writer as it was, one row at a time through ``csv.writer``: the oracle for
+the one-pass writer, which must give the same bytes.
 """
 
 from __future__ import annotations
@@ -34,17 +36,19 @@ from driftscope.errors import (
     TimestampParse,
     XmlMalformed,
 )
-from driftscope.ingest import CsvMapping
+from driftscope.ingest import CsvMapping, _formatted, _isoformat
 from driftscope.model import (
     BOOLEAN,
     LIFECYCLE_COMPLETE,
     LIFECYCLE_START,
+    LIFECYCLES,
     NUMBER,
     TEXT,
     TIMESTAMP,
     Case,
     Event,
     attribute_type,
+    decode,
 )
 
 _XES_NS = "{http://www.xes-standard.org/}"
@@ -271,6 +275,26 @@ def unreadable_row(path: str | Path, delimiter: str) -> tuple[int, str | None]:
     except csv.Error as exc:
         row, problem = row + 1, str(exc)
     return row, problem
+
+
+def write_csv(log, mapping: CsvMapping, path: str | Path) -> None:
+    """Export a columnar log (``driftscope.model.EventLog``) through ``csv.writer``."""
+    c = log.columns
+    fmt = mapping.timestamp_format
+    stamps = (_isoformat(c.time_us) if fmt is None
+              else [ts.strftime(fmt) for ts in c.time_us.astype("datetime64[us]").tolist()])
+    out = [decode(c.case_ids, c.case), decode(c.activities, c.activity), stamps]
+    if mapping.resource_col:
+        out.append(decode((*c.resources, ""), c.resource))
+    if mapping.lifecycle_col:
+        out.append(decode(("", *LIFECYCLES[1:]), c.lifecycle))
+    out += [_formatted(c.event_attrs.get(col), len(c.case)) for col in mapping.event_attr_cols]
+    out += [decode(_formatted(c.case_attrs.get(col), len(c.case_ids)), c.case)
+            for col in mapping.case_attr_cols]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, delimiter=mapping.delimiter)
+        writer.writerow(mapping.columns())
+        writer.writerows(zip(*out))
 
 
 def parse_xes(path: str | Path) -> EventLog:

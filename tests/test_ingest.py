@@ -248,6 +248,13 @@ def test_mapping_requires_distinct_mandatory_columns():
         CsvMapping(case_id_col="a", activity_col="b", timestamp_col="")
 
 
+@pytest.mark.parametrize("delimiter", ["\r", "\n"])
+def test_mapping_refuses_a_line_break_as_delimiter(delimiter):
+    # such a file was written, and reading it back failed with a MissingColumn
+    with pytest.raises(ConfigInvalid, match="delimiter"):
+        CsvMapping(case_id_col="a", activity_col="b", timestamp_col="c", delimiter=delimiter)
+
+
 def test_mapping_json_roundtrip(tmp_path):
     path = tmp_path / "m.json"
     import json

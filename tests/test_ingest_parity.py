@@ -46,7 +46,18 @@ from driftscope.ingest import (
     write_csv,
     write_xes,
 )
-from driftscope.model import EventLog, LogColumns, sort_and_validate, to_us
+from driftscope.model import (
+    BOOLEAN,
+    NUMBER,
+    TEXT,
+    TIMESTAMP,
+    EventLog,
+    LogColumns,
+    coded,
+    columnar_log,
+    sort_and_validate,
+    to_us,
+)
 from driftscope.synthetic import GeneratorConfig, generate
 from ingest_oracle import parse_timestamp
 
@@ -220,6 +231,62 @@ def test_csv_parity_on_a_generated_log(tmp_path):
               GENERATOR_MAPPING, path)
     assert_same(path, lambda p: parse_csv(p, GENERATOR_MAPPING),
                 lambda p: oracle.parse_csv(p, GENERATOR_MAPPING))
+
+
+# ------------------------------------------------------------ CSV writer
+
+#: Cell texts: each delimiter drawn below, ``"``, CR, LF, spaces, the
+#: characters of stamps and numbers, and non-ASCII ones (U+2028 is no line
+#: break to ``csv``).
+_WRITER_TEXTS = st.text(st.sampled_from([*',;\t|. 0"', "\r", "\n", "a", "é", "日", "\u2028"]),
+                        max_size=5)
+
+
+@st.composite
+def writer_cases(draw):
+    """A log whose texts and a mapping whose column names and delimiter each
+    may need quoting, with every attribute type, absent values and a column
+    the log lacks."""
+    names = draw(st.lists(_WRITER_TEXTS.filter(bool), min_size=10, max_size=10, unique=True))
+    case_ids = draw(st.lists(_WRITER_TEXTS, min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(1, 10))
+    case = np.sort(draw(st.lists(st.integers(0, len(case_ids) - 1), min_size=n, max_size=n)))
+    texts = st.lists(_WRITER_TEXTS, min_size=n, max_size=n)
+    maybe = st.lists(st.none() | _WRITER_TEXTS, min_size=n, max_size=n)
+    stamps = st.lists(st.integers(0, 3).map(1_000_000 .__mul__) | st.integers(0, 2 * 10**17),
+                      min_size=n, max_size=n)
+    values = {TEXT: _WRITER_TEXTS, NUMBER: st.floats(allow_nan=False, allow_infinity=False),
+              BOOLEAN: st.booleans(), TIMESTAMP: st.integers(-10**12, 4 * 10**15)}
+
+    def records(kind, size):
+        rows = sorted(draw(st.sets(st.integers(0, size - 1))))
+        return rows, kind, [draw(values[kind]) for _ in rows]
+
+    kinds = (TEXT, NUMBER, BOOLEAN, TIMESTAMP)
+    log = sort_and_validate(columnar_log(
+        (case_ids, case.astype(np.int32)), coded(draw(texts)), coded(draw(maybe)),
+        coded(draw(st.lists(st.sampled_from([None, "start", "complete", "x"]), min_size=n,
+                            max_size=n))),
+        np.array(draw(stamps), dtype=np.int64),
+        {key: records(kind, n) for key, kind in zip(names[5:9], kinds)},
+        {names[9]: records(TEXT, len(case_ids))}, {},
+    ))
+    mapping = CsvMapping(
+        *names[:3], timestamp_format=draw(st.sampled_from([None, '%d"%m %H;%M', "%Y\n%j|%f"])),
+        resource_col=names[3], lifecycle_col=names[4],
+        event_attr_cols=(*names[5:9], "absent"), case_attr_cols=(names[9],),
+        delimiter=draw(st.sampled_from(',;\t|. 0"')),
+    )
+    return log, mapping
+
+
+@SETTINGS
+@given(writer_cases())
+def test_property_csv_writer_gives_the_bytes_of_csv_writer(tmp_path, case):
+    log, mapping = case
+    write_csv(log, mapping, tmp_path / "new.csv")
+    oracle.write_csv(log, mapping, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 # ------------------------------------------------------------------- XES

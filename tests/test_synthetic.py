@@ -152,6 +152,12 @@ def test_resources_cycle_through_the_pool():
     assert log.resources == tuple(sorted(SMALL.resource_pool))
 
 
+def test_a_pool_longer_than_the_log_names_only_the_resources_used():
+    log = generate(GeneratorConfig(days=1, cases_per_day=1, drift_day=1,
+                                   resource_pool=tuple("hgfedcba")))
+    assert log.resources == tuple("defgh")
+
+
 def test_outcome_mix_follows_pay_probability():
     cfg = GeneratorConfig(seed=11, days=30, cases_per_day=20, drift_day=15)
     log = generate(cfg)
@@ -199,6 +205,10 @@ def test_always_pay_and_never_pay():
         {"phone_max_age": math.inf},
         {"pay_probability": True},
         {"pay_probability": "0.5"},
+        {"resource_pool": ("a", 1)},  # used to end in a TypeError inside generate
+        {"resource_pool": ("a", "")},  # the empty name was lost in the CSV round trip
+        {"resource_pool": "clerk"},
+        {"start": "2021-01-04"},  # used to raise AttributeError
     ],
 )
 def test_config_validation(kwargs):

@@ -100,6 +100,12 @@ def test_a_hand_built_sequence_refuses_unusable_sizes(duration_us, count, droppe
         IntervalSequence(BASE, duration_us, count, dropped_tail_us)
 
 
+def test_a_hand_built_sequence_refuses_an_origin_that_is_not_a_datetime():
+    # used to be accepted, and build_time_series then raised AttributeError
+    with pytest.raises(ConfigInvalid, match="origin"):
+        IntervalSequence("2021-01-04", 86_400_000_000, 3)
+
+
 def test_build_intervals_rejects_bad_duration():
     log = build_log([("c", "a", _at(0)), ("c", "b", _at(240))])
     with pytest.raises(ConfigInvalid):
