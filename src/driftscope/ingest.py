@@ -168,7 +168,7 @@ class CsvMapping:
     @classmethod
     def from_json_file(cls, path: str | Path) -> "CsvMapping":
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigInvalid(f"cannot read mapping file {path}: {exc}") from exc
         if not isinstance(data, dict):
@@ -282,7 +282,7 @@ def _read_columns(path, mapping: CsvMapping):
     collecting = gc.isenabled()
     gc.disable()  # many fresh row lists the collector need not walk
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:  # a leading BOM is dropped
             reader = csv.reader(fh, delimiter=mapping.delimiter)
             try:
                 header = next(reader, None)
@@ -338,7 +338,7 @@ def _unreadable(path, delimiter: str) -> RowUnreadable:
                 return
             yield line
 
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
         try:
             for row, _ in enumerate(csv.reader(lines(fh), delimiter=delimiter), start=1):
                 pass
@@ -467,11 +467,10 @@ _XES_TAGS = {TEXT: "string", TIMESTAMP: "date", NUMBER: "float", BOOLEAN: "boole
 
 def _read_xes(path):
     """Stream the document. Returns the root's name; where each trace and event
-    starts, as the serial number of its element; each event's trace; per
-    attribute key, the serial numbers, tags and value texts of its trace-level
-    and of its event-level records; and the number of ``<list>`` and
-    ``<container>`` elements of traces and events. Serial numbers and traces
-    are ``array("q")``s.
+    starts, as the serial number of its element; per attribute key, the serial
+    numbers, tags and value texts of its trace-level and of its event-level
+    records; and the number of ``<list>`` and ``<container>`` elements of
+    traces and events. Serial numbers are ``array("q")``s.
 
     A record interns its texts through its own dict until, at two checks in a
     row (at traces 1, 2, 4, 8, ...), the dict holds one entry per record and
@@ -481,7 +480,7 @@ def _read_xes(path):
     parser.ordered_attributes = True
     names: dict[str, str] = {}
     root, trace_keys, event_keys = [], {}, {}
-    trace_at, event_at, event_trace = array("q"), array("q"), array("q")
+    trace_at, event_at = array("q"), array("q")
     as_read = {}.get  # (text, text) -> text, storing nothing
     distinct: set[tuple[int, str]] = set()  # the records that passed the last check
 
@@ -520,7 +519,6 @@ def _read_xes(path):
             if (names.get(name) or local(name)) == "event":
                 in_event = True
                 event_at.append(opened)
-                event_trace.append(len(trace_at) - 1)
                 return
             keys = trace_keys
         else:
@@ -557,7 +555,7 @@ def _read_xes(path):
             parser.ParseFile(fh)
     except (expat.ExpatError, LookupError) as exc:  # LookupError: an unknown declared encoding
         raise XmlMalformed(f"{path}: {exc}") from exc
-    return root[0], trace_at, event_at, event_trace, trace_keys, event_keys, skipped
+    return root[0], trace_at, event_at, trace_keys, event_keys, skipped
 
 
 def _xes_values(key: str, tags: list[str], texts: list[str], where):
@@ -605,11 +603,12 @@ def parse_xes(path: str | Path) -> EventLog:
     than start/complete are dropped and counted in ``log.meta``. Unknown
     attribute keys are preserved with their declared types.
     """
-    root, trace_at, event_at, event_trace, trace_keys, event_keys, skipped = _read_xes(path)
+    root, trace_at, event_at, trace_keys, event_keys, skipped = _read_xes(path)
     if root != "log":
         raise XmlMalformed(f"{path}: root element is <{root}>, expected <log>")
     n = len(event_at)
-    event_trace = np.array(event_trace, dtype=np.int32)
+    # each event belongs to the last trace begun before it
+    event_trace = (np.searchsorted(trace_at, event_at) - 1).astype(np.int32)
     # (trace, part, offset, check, error): the least is the one a trace-by-trace
     # reading meets first, taking a trace's attributes (part 0), its id (1),
     # then its events (2) in document order.

@@ -12,6 +12,7 @@ deterministic: identical data and configuration yield identical reports.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, fields
 
@@ -19,10 +20,10 @@ import numpy as np
 
 from . import __version__
 from .causality import (
-    CausalPair, PairScan, check_p_threshold, lag_between, min_series_length, test_all_pairs,
+    CausalPair, check_p_threshold, lag_between, min_series_length, test_all_pairs,
 )
 from .changepoint import ChangePoint, ChangePointSet, PeltConfig, pelt
-from .errors import ConfigInvalid, NonPrecedingDrift
+from .errors import ConfigInvalid
 from .model import EventLog
 from .timeseries import (
     ExtractorSpec,
@@ -166,32 +167,25 @@ def run(log: EventLog, config: FrameworkConfig) -> AnalysisReport:
 
     n = len(intervals)
     explanations: list[DriftExplanation] = []
-    explained: set[int] = set()
-    skipped_degenerate = 0
-    skipped_lag_pairs = 0
-    scans: dict[int, PairScan] = {}  # the scan depends only on the lag
+    skipped_degenerate = skipped_lag_pairs = 0
+    # the scan depends only on the lag, so each lag is scanned once
+    scan = functools.cache(lambda k: test_all_pairs(primary, secondary, k, config.p_threshold))
     for cp_p in primary_cps:
-        for cp_s in secondary_cps:
-            try:
-                k = lag_between(intervals, cp_s, cp_p)
-            except NonPrecedingDrift:
+        for cp_s in reversed(secondary_cps.points):  # latest first: lags ascend
+            if cp_s.index >= cp_p.index:
                 continue
+            k = lag_between(intervals, cp_s, cp_p)
             if n < min_series_length(k):
                 skipped_lag_pairs += 1
                 continue
-            scan = scans.get(k)
-            if scan is None:
-                scan = scans[k] = test_all_pairs(primary, secondary, k, config.p_threshold)
-            skipped_degenerate += scan.skipped_degenerate
-            if scan.pairs:
+            found = scan(k)
+            skipped_degenerate += found.skipped_degenerate
+            if found.pairs:
                 explanations.append(
-                    DriftExplanation(primary=cp_p, secondary=cp_s, lag=k, pairs=scan.pairs)
+                    DriftExplanation(primary=cp_p, secondary=cp_s, lag=k, pairs=found.pairs)
                 )
-                explained.add(cp_p.index)
-    explanations.sort(key=lambda ex: (ex.primary.index, ex.lag))
-    unexplained = tuple(
-        cp.index for cp in primary_cps if cp.index not in explained
-    )
+    explained = {ex.primary.index for ex in explanations}
+    unexplained = tuple(cp.index for cp in primary_cps if cp.index not in explained)
 
     metadata = {
         "tool_version": __version__,

@@ -114,17 +114,11 @@ def _hours_to_us(hours: np.ndarray) -> np.ndarray:
     return whole.astype(np.int64) * 3_600_000_000 + np.rint(frac * 3.6e9).astype(np.int64)
 
 
-def available_channels(age: float, config: GeneratorConfig) -> list[str]:
-    """Notification channels offered to a customer of the given age: postal mail always,
-    phone below ``phone_max_age`` and email below ``email_max_age``, which is no larger."""
-    return list(CHANNELS[:1 + (age < config.phone_max_age) + (age < config.email_max_age)])
-
-
 def generate(config: GeneratorConfig) -> EventLog:
     """Generate and validate a synthetic claim handling log."""
     rng = random.Random(config.seed)
-    # rng.uniform(a, b) is a + (b - a) * random_(), and rng.choice(available_channels(age,
-    # config)) is CHANNELS[randbelow(k)], the channels on offer being the first k of CHANNELS
+    # rng.uniform(a, b) is a + (b - a) * random_(). On offer are postal mail, phone below
+    # phone_max_age and email below email_max_age <= phone_max_age: the first k of CHANNELS
     random_, gauss, randbelow = rng.random, rng.gauss, rng._randbelow
     phone, email = config.phone_max_age, config.email_max_age
     activity: list[str] = []

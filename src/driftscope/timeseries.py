@@ -205,7 +205,7 @@ class ExtractorSpec:
 
     Construction checks the pair against the extractor catalogue and the
     parameters against what that extractor takes, and stores each value
-    read as :data:`_PARAMS` types it (a float must be finite).
+    read as :data:`_PARAMS` types it (a float must be a finite number, not a bool).
     """
 
     perspective: str
@@ -240,8 +240,8 @@ class ExtractorSpec:
                 read[key] = kind(value)
             except (TypeError, ValueError):
                 raise ConfigInvalid(f"{where}: {key} {value!r} is not a {kind.__name__}") from None
-            if kind is float and not np.isfinite(read[key]):
-                raise ConfigInvalid(f"{where}: {key} must be finite, got {value!r}")
+            if kind is float and (isinstance(value, bool) or not np.isfinite(read[key])):
+                raise ConfigInvalid(f"{where}: {key} must be a finite number, got {value!r}")
         aggs = read.get("aggregators", AGGREGATORS)
         if not aggs or any(a not in AGGREGATORS for a in aggs):
             raise ConfigInvalid(f"{where}: aggregators must be among {AGGREGATORS}, got {aggs}")

@@ -160,6 +160,17 @@ def select_events(log: EventLog, interval: TimeInterval) -> list[Event]:
     return [e for e in log.iter_events() if interval.contains_us(log.offset_us(e.timestamp))]
 
 
+def available_channels(age: float, config) -> list[str]:
+    """Notification channels the generator may offer at ``age``: postal mail always,
+    phone only strictly below ``phone_max_age``, email only strictly below ``email_max_age``."""
+    channels = ["notify_post"]
+    if age < config.phone_max_age:
+        channels.append("notify_phone")
+    if age < config.email_max_age:
+        channels.append("notify_email")
+    return channels
+
+
 def f_cdf(f: float, d1: float, d2: float) -> float:
     """Lower tail P(F <= f) for an F(d1, d2) variate."""
     if d1 <= 0 or d2 <= 0:
@@ -168,7 +179,13 @@ def f_cdf(f: float, d1: float, d2: float) -> float:
         return 0.0
     if f == float("inf"):
         return 1.0
-    return betainc_reg(d1 / 2.0, d2 / 2.0, d1 * f / (d1 * f + d2))
+    # past the continued fraction's switch point, take 1 - I_y(b, a) with y computed
+    # directly: betainc_reg would round 1 - x, which costs about 1e-12 when x is near 1
+    a, b, total = d1 / 2.0, d2 / 2.0, d1 * f + d2
+    x = d1 * f / total
+    if x < (a + 1.0) / (a + b + 2.0):
+        return betainc_reg(a, b, x)
+    return 1.0 - betainc_reg(b, a, d2 / total)
 
 
 def two_pass_segment_cost(values: np.ndarray, a: int, b: int) -> float:

@@ -7,7 +7,7 @@ headroom; a regression in the continued fraction shows up immediately.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 scipy_special = pytest.importorskip("scipy.special")
@@ -98,6 +98,7 @@ def test_f_edge_cases():
     st.integers(1, 200),
     st.integers(1, 500),
 )
+@example(99999.0, 151, 1)  # x = 1 - 6.6e-8: rounding 1 - x put the sum 1.04e-12 above 1
 def test_property_sf_cdf_complementary(f, d1, d2):
     sf = f_sf(f, d1, d2)
     cdf = f_cdf(f, d1, d2)

@@ -18,6 +18,7 @@ whole-file reading finds, for any bytes.
 from __future__ import annotations
 
 import dataclasses
+import json
 import tracemalloc
 from dataclasses import fields
 from datetime import datetime
@@ -231,6 +232,21 @@ def test_csv_parity_on_a_generated_log(tmp_path):
               GENERATOR_MAPPING, path)
     assert_same(path, lambda p: parse_csv(p, GENERATOR_MAPPING),
                 lambda p: oracle.parse_csv(p, GENERATOR_MAPPING))
+
+
+def test_a_leading_byte_order_mark_is_ignored(tmp_path):
+    # Excel's "CSV UTF-8" export starts the file with one; no strategy here draws it
+    write_csv(generate(GeneratorConfig(days=3, cases_per_day=4, drift_day=2)), GENERATOR_MAPPING,
+              tmp_path / "log.csv")
+    (tmp_path / "mapping.json").write_bytes(json.dumps(GENERATOR_MAPPING.to_dict()).encode())
+    for name in ("log.csv", "mapping.json"):
+        (tmp_path / f"bom-{name}").write_bytes(b"\xef\xbb\xbf" + (tmp_path / name).read_bytes())
+    plain = parse_csv(tmp_path / "log.csv", CsvMapping.from_json_file(tmp_path / "mapping.json"))
+    assert_same_outcome(
+        tmp_path,
+        lambda d: parse_csv(d / "bom-log.csv", CsvMapping.from_json_file(d / "bom-mapping.json")),
+        lambda _: plain,
+    )
 
 
 # ------------------------------------------------------------ CSV writer

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import driftscope
+from driftscope.causality import CausalPair, PairScan
+from driftscope.changepoint import ChangePoint, ChangePointSet
 from driftscope.errors import ConfigInvalid, SpanTooShort
 from driftscope.pipeline import AnalysisReport, FrameworkConfig, run
 from driftscope.synthetic import GeneratorConfig, generate
@@ -138,6 +140,8 @@ def test_config_refuses_values_of_the_wrong_type_when_constructed(kwargs, field)
         ("control_flow", "df", {"attr": "v"}),
         ("data", "dff", {}),
         ("bogus", "df", {}),
+        ("data", "threshold", {"attr": "v", "bound": True}),  # used to store 1.0
+        ("performance", "overtime", {"bound_seconds": False}),  # used to store 0.0
     ],
 )
 def test_hand_built_invalid_spec_fails_when_constructed(perspective, name, params):
@@ -246,6 +250,31 @@ def test_secondary_drifts_after_or_too_far_before_the_primary_are_not_tested():
     assert report.explanations == ()
     assert report.unexplained == (9,)
     assert report.metadata["skipped_lag_pairs"] == 1
+
+
+def test_each_primary_drift_is_explained_by_its_preceding_drifts_one_scan_per_lag(monkeypatch):
+    # 60 days give 46 <= n < 93 intervals: lag 30 (10 -> 40) needs 93, lags 5 and 10 fit
+    def fake_pelt(matrix, config):
+        indices = (20, 40) if config.beta == 3.0 else (10, 30, 35, 40, 45)  # primary, secondary
+        points = tuple(ChangePoint(i, matrix.intervals.intervals[i - 1]) for i in indices)
+        return ChangePointSet(points, 0.0, 0)
+
+    lags = []
+
+    def fake_scan(primary, secondary, lag, p_threshold, /):  # perfbench's tracer reads args[2]
+        lags.append(lag)
+        pair = CausalPair(primary.labels[0], secondary.labels[0], 0.01)
+        return PairScan(pairs=(pair,), tested=1, skipped_degenerate=0)
+
+    monkeypatch.setattr("driftscope.pipeline.pelt", fake_pelt)
+    monkeypatch.setattr("driftscope.pipeline.test_all_pairs", fake_scan)
+    report = run(generate(GeneratorConfig(days=60, drift_day=30)), _drift_config())
+    assert 46 <= len(report.intervals) < 93
+    assert [(ex.primary.index, ex.secondary.index, ex.lag) for ex in report.explanations] == [
+        (20, 10, 10), (40, 35, 5), (40, 30, 10)]  # drifts 40 and 45 are not tested against 40
+    assert sorted(lags) == [5, 10]
+    assert report.metadata["skipped_lag_pairs"] == 1
+    assert report.unexplained == ()
 
 
 def test_drifted_generator_links_age_to_notifications(drifted_report):

@@ -16,10 +16,11 @@ from driftscope.synthetic import (
     CHANNELS,
     GeneratorConfig,
     _hours_to_us,
-    available_channels,
     generate,
 )
 from driftscope.timeseries import build_intervals
+
+from conftest import available_channels
 
 SMALL = GeneratorConfig(seed=7, days=20, cases_per_day=8, drift_day=10)
 
@@ -112,6 +113,15 @@ def test_ages_are_rounded_and_in_range():
     ages = [c.events[0].attrs["age"] for c in log.cases.values()]
     assert all(a == float(round(a)) for a in ages)
     assert all(18.0 <= a <= 95.0 for a in ages)
+
+
+def test_age_mean_outside_the_range_clamps_to_its_nearer_end():
+    # a hundred draws 0.5 around 200 or -50 never land in 18..95, so each age falls back
+    cfg = GeneratorConfig(days=2, cases_per_day=3, drift_day=2, pre_age_mean=200.0,
+                          post_age_mean=-50.0, age_stddev=0.5)
+    ages = {c.case_id: c.events[0].attrs["age"] for c in generate(cfg).cases.values()}
+    assert ages == {f"c000{day}_00{n}": age for day, age in ((1, 95.0), (2, 18.0))
+                    for n in (1, 2, 3)}
 
 
 def test_age_means_shift_at_drift_day():
